@@ -19,8 +19,10 @@ anomaly raises :class:`AnomalyError` naming the originating op::
     #     attn = scores.log()
 
 Wired into training via ``SDEAConfig.detect_anomaly`` and the CLI's
-``repro run --detect-anomaly``.  The mode costs one ``np.isfinite``
-sweep per op and is therefore opt-in.
+``repro run --detect-anomaly``.  The mode is an engine observer
+(:mod:`repro.nn.observers`), so it composes with the profiler, the
+graph checker and IR capture in any enter order.  It costs one
+``np.isfinite`` sweep per op and is therefore opt-in.
 """
 
 from __future__ import annotations
@@ -32,15 +34,17 @@ from typing import Optional
 
 import numpy as np
 
+from ..nn import observers as _observers
 from ..nn import tensor as _tensor_module
-from ..nn.tensor import Tensor
+from ..obs.attribution import op_name_from_backward
 
 __all__ = ["AnomalyError", "OpProvenance", "detect_anomaly",
            "is_anomaly_enabled"]
 
 #: Frames from these exact files are engine internals, not user code.
 #: (Exact paths, not suffixes — a user's `test_anomaly.py` must survive.)
-_INTERNAL_FILES = frozenset({_tensor_module.__file__, __file__})
+_INTERNAL_FILES = frozenset({_tensor_module.__file__, _observers.__file__,
+                             __file__})
 
 
 class AnomalyError(RuntimeError):
@@ -77,12 +81,19 @@ class OpProvenance:
 
 
 def _stack_snippet(limit: int = 4) -> str:
-    """The last ``limit`` non-engine frames, formatted like a traceback."""
-    frames = [
-        frame for frame in traceback.extract_stack()
-        if frame.filename not in _INTERNAL_FILES
-    ][-limit:]
-    return "".join(traceback.format_list(frames)).rstrip("\n")
+    """The last ``limit`` non-engine frames, formatted like a traceback.
+
+    Walks outward from the caller and stops after ``limit`` frames, so
+    the cost does not grow with the depth of the whole stack.
+    """
+    picked = []
+    frame = sys._getframe(1)
+    while frame is not None and len(picked) < limit:
+        if frame.f_code.co_filename not in _INTERNAL_FILES:
+            picked.append((frame, frame.f_lineno))
+        frame = frame.f_back
+    summary = traceback.StackSummary.extract(reversed(picked))
+    return "".join(summary.format()).rstrip("\n")
 
 
 def _finite(array: np.ndarray) -> bool:
@@ -95,91 +106,60 @@ def _describe(array: np.ndarray) -> str:
     return f"{nan} NaN / {inf} Inf over shape {array.shape}"
 
 
-class _AnomalyState:
-    """Process-global patch state; reference-counted for nesting."""
-
-    def __init__(self) -> None:
-        self.depth = 0
-        self.original_make_child = None
-        self.original_dispatch = None
-
-
-_STATE = _AnomalyState()
+def _raise_nonfinite(what: str, provenance: Optional[OpProvenance],
+                     detail: str) -> None:
+    where = provenance.format() if provenance else "an untracked op"
+    raise AnomalyError(f"NaN/Inf in {what} of {where}\n({detail})",
+                       provenance=provenance, phase="backward")
 
 
 def is_anomaly_enabled() -> bool:
     """True while at least one :class:`detect_anomaly` context is active."""
-    return _STATE.depth > 0
+    return any(isinstance(observer, detect_anomaly)
+               for observer in _observers.registered())
 
 
-def _wrapped_make_child(self, data, parents, backward):
-    """Op-creation hook: record provenance, reject non-finite outputs."""
-    out = _STATE.original_make_child(self, data, parents, backward)
-    op = sys._getframe(1).f_code.co_name
-    provenance = OpProvenance(op=op, stack=_stack_snippet())
-    out._ctx = provenance
-    if not _finite(out.data):
-        raise AnomalyError(
-            f"NaN/Inf in forward output of {provenance.format()}\n"
-            f"({_describe(out.data)})",
-            provenance=provenance, phase="forward",
-        )
-    return out
+class detect_anomaly(_observers.EngineObserver):
+    """Context manager enabling anomaly detection (reentrant).
 
-
-def _wrapped_dispatch(self, grad, grads):
-    """Backward hook: reject non-finite gradient contributions.
-
-    Mirrors ``Tensor._backward_dispatch``'s routing so each parent
-    contribution can be checked *before* it is merged — the raising op
-    is then exactly the one whose backward produced the bad values.
+    Checks every op output as it is created, and every node's incoming
+    gradient and gradient contributions as the engine dispatches it —
+    before the contributions reach the parents, so the raising op is
+    exactly the one whose backward produced the bad values.
     """
-    provenance = self._ctx
-    if not _finite(np.asarray(grad)):
-        where = provenance.format() if provenance else "an untracked op"
-        raise AnomalyError(
-            f"NaN/Inf in incoming gradient of {where}\n"
-            f"({_describe(np.asarray(grad))})",
-            provenance=provenance, phase="backward",
-        )
-    contributions = self._backward(grad)
-    for index, (parent, contribution) in enumerate(
-            zip(self._parents, contributions)):
-        if contribution is None or not (
-            parent.requires_grad or parent._backward is not None
-        ):
-            continue
-        if not _finite(np.asarray(contribution)):
-            where = provenance.format() if provenance else "an untracked op"
-            raise AnomalyError(
-                f"NaN/Inf in gradient produced by backward of {where}\n"
-                f"(contribution to parent {index} of shape "
-                f"{parent.shape}: {_describe(np.asarray(contribution))})",
-                provenance=provenance, phase="backward",
-            )
-        key = id(parent)
-        if key in grads:
-            grads[key] = grads[key] + contribution
-        else:
-            grads[key] = contribution
-
-
-class detect_anomaly:
-    """Context manager enabling anomaly detection (reentrant)."""
 
     def __enter__(self) -> "detect_anomaly":
-        if _STATE.depth == 0:
-            _STATE.original_make_child = Tensor._make_child
-            _STATE.original_dispatch = Tensor._backward_dispatch
-            Tensor._make_child = _wrapped_make_child
-            Tensor._backward_dispatch = _wrapped_dispatch
-        _STATE.depth += 1
+        _observers.add_observer(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        _STATE.depth -= 1
-        if _STATE.depth == 0:
-            Tensor._make_child = _STATE.original_make_child
-            Tensor._backward_dispatch = _STATE.original_dispatch
-            _STATE.original_make_child = None
-            _STATE.original_dispatch = None
+        _observers.remove_observer(self)
+
+    def op_created(self, out, data, parents, backward) -> None:
+        provenance = OpProvenance(op=op_name_from_backward(backward),
+                                  stack=_stack_snippet())
+        out._ctx = provenance
+        if not _finite(out.data):
+            raise AnomalyError(
+                f"NaN/Inf in forward output of {provenance.format()}\n"
+                f"({_describe(out.data)})",
+                provenance=provenance, phase="forward",
+            )
+
+    def dispatch_begin(self, node, grad) -> None:
+        if not _finite(np.asarray(grad)):
+            _raise_nonfinite("incoming gradient", node._ctx,
+                             _describe(np.asarray(grad)))
+
+    def dispatch_end(self, node, grad, contributions) -> None:
+        for index, (parent, contribution) in enumerate(
+                zip(node._parents, contributions)):
+            if contribution is None or not (
+                parent.requires_grad or parent._backward is not None
+            ):
+                continue
+            if not _finite(np.asarray(contribution)):
+                _raise_nonfinite(
+                    "gradient produced by backward", node._ctx,
+                    f"contribution to parent {index} of shape "
+                    f"{parent.shape}: {_describe(np.asarray(contribution))}")

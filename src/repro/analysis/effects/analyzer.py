@@ -232,7 +232,7 @@ class _LocalEffects:
                 self._record_global_write(self.mi.name, head, lineno)
             return
         # Cross-module rebind: `metrics._default = x` via a module alias,
-        # or a class-attribute patch `Tensor._make_child = fn` (the class
+        # or a class-attribute patch `Optimizer.__init__ = fn` (the class
         # may have been imported at function level, so check local
         # from-imports before dismissing `head` as a local name).
         resolved = self._resolve_external(chain)

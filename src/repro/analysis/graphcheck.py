@@ -17,8 +17,9 @@ tensor and reports the wiring mistakes that numpy autograd fails at
 
 :class:`GraphCaptureHarness` makes this runnable against *any* method
 (SDEA and every baseline share it): it hooks ``Optimizer.__init__`` to
-learn the trainable parameters and ``Tensor.backward`` to check the
-first loss graph built over each distinct parameter set.
+learn the trainable parameters and observes the start of each
+``backward()`` (:mod:`repro.nn.observers`) to check the first loss
+graph built over each distinct parameter set.
 :func:`check_method` wires the harness to a tiny synthetic KG pair —
 the ``repro check-model`` CLI entry point.
 """
@@ -30,6 +31,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..nn.observers import EngineObserver, add_observer, remove_observer
 from ..nn.tensor import Tensor
 from .findings import Finding
 
@@ -231,14 +233,16 @@ def check_graph(loss: Tensor,
 # ---------------------------------------------------------------------- #
 # Capture harness: check any method's training graphs end-to-end
 # ---------------------------------------------------------------------- #
-class GraphCaptureHarness:
+class GraphCaptureHarness(EngineObserver):
     """Hooks the training stack to graph-check real losses.
 
     While active, ``Optimizer.__init__`` records every trainable
-    parameter list, and ``Tensor.backward`` — before doing its normal
-    work — runs :func:`check_graph` on the first loss built over each
-    distinct set of reachable gradient leaves (so multi-phase trainers
-    like SDEA get one report per phase, not one per batch).
+    parameter list, and the start of every ``backward()`` runs
+    :func:`check_graph` on the first loss built over each distinct set
+    of reachable gradient leaves (so multi-phase trainers like SDEA get
+    one report per phase, not one per batch).  The probe backward of
+    :func:`check_graph` runs inside the engine event, so other
+    observers never see it.
 
     Usage::
 
@@ -253,7 +257,6 @@ class GraphCaptureHarness:
         self.reports: List[GraphReport] = []
         self.param_groups: List[List[Tensor]] = []
         self._signatures: set = set()
-        self._busy = False
         self._originals: Dict[str, object] = {}
 
     # -- context management -------------------------------------------- #
@@ -261,7 +264,6 @@ class GraphCaptureHarness:
         from ..nn.optim import Optimizer
 
         harness = self
-        original_backward = Tensor.backward
         original_opt_init = Optimizer.__init__
 
         def wrapped_opt_init(opt_self, parameters, *args, **kwargs):
@@ -269,28 +271,21 @@ class GraphCaptureHarness:
             harness.param_groups.append(parameters)
             return original_opt_init(opt_self, parameters, *args, **kwargs)
 
-        def wrapped_backward(tensor_self, grad=None):
-            if not harness._busy:
-                harness._busy = True
-                try:
-                    harness._maybe_capture(tensor_self)
-                finally:
-                    harness._busy = False
-            return original_backward(tensor_self, grad)
-
         self._originals = {
-            "backward": original_backward,
             "opt_init": original_opt_init,
             "Optimizer": Optimizer,
         }
-        Tensor.backward = wrapped_backward
         Optimizer.__init__ = wrapped_opt_init
+        add_observer(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        Tensor.backward = self._originals["backward"]
+        remove_observer(self)
         self._originals["Optimizer"].__init__ = self._originals["opt_init"]
         self._originals = {}
+
+    def backward_begin(self, root: Tensor, grad) -> None:
+        self._maybe_capture(root)
 
     # -- capture logic -------------------------------------------------- #
     def _maybe_capture(self, loss: Tensor) -> None:

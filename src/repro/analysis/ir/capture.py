@@ -1,11 +1,11 @@
 """Capture one fwd+bwd training step into an explicit IR graph.
 
-:class:`IRCapture` reuses the three hook points the profiler and
-graphcheck proved out — ``Tensor._make_child`` (forward op stream),
-``Tensor._backward_dispatch`` (backward schedule) and
-``Tensor.backward`` (step delimiter) — plus the shared module-path
-tracker from :mod:`repro.obs.attribution`, and records a *window* of
-grad-tracked ops ending at a ``backward()`` call.
+:class:`IRCapture` is an engine observer (:mod:`repro.nn.observers`):
+op creation gives the forward op stream, node dispatch the backward
+schedule, and the start and end of ``backward()`` delimit the step;
+module enter/exit feed the shared module-path tracker from
+:mod:`repro.obs.attribution`.  It records a *window* of grad-tracked
+ops ending at a ``backward()`` call.
 
 Step selection: the window that starts at install spans arbitrary
 setup work (pre-training phases, data prep), so the harness captures
@@ -35,6 +35,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
+from ...nn.observers import EngineObserver, add_observer, remove_observer
 from ...nn.tensor import Tensor
 from ...obs.attribution import ModulePathTracker, op_name_from_backward
 from .graph import IRGraph, IRNode
@@ -63,7 +64,7 @@ class StepCapture:
                 if node.requires_grad and not node.has_backward]
 
 
-class IRCapture:
+class IRCapture(EngineObserver):
     """Context manager that records one fwd+bwd step while code runs.
 
     Usage::
@@ -78,15 +79,14 @@ class IRCapture:
         self.max_attempts = int(max_attempts)
         self.captures: List[StepCapture] = []
         self._done = False
-        self._busy = False
         self._overflowed = False
         self._window_clean = False
         self._backward_count = 0
         self._paths = ModulePathTracker()
         self._reset_window()
-        self._originals: Dict[str, object] = {}
-        self._hook_handle = None
         self._capturing_dispatch = False
+        self._root_uid: Optional[int] = None
+        self._seed: Optional[np.ndarray] = None
         self._dispatch: List[int] = []
         self._grads_before: Dict[int, Optional[np.ndarray]] = {}
 
@@ -105,51 +105,31 @@ class IRCapture:
     # Install / uninstall
     # ------------------------------------------------------------------ #
     def __enter__(self) -> "IRCapture":
-        from ...nn.module import register_forward_hooks
-
-        harness = self
-        orig_make_child = Tensor._make_child
-        orig_dispatch = Tensor._backward_dispatch
-        orig_backward = Tensor.backward
-
-        def captured_make_child(tensor_self, data, parents, backward):
-            out = orig_make_child(tensor_self, data, parents, backward)
-            if not harness._done and out._backward is not None:
-                harness._record_op(out, parents, data)
-            return out
-
-        def captured_dispatch(tensor_self, grad, grads):
-            if harness._capturing_dispatch:
-                uid = harness._ids.get(id(tensor_self))
-                if uid is None:
-                    uid = harness._register_source(tensor_self)
-                harness._dispatch.append(uid)
-            return orig_dispatch(tensor_self, grad, grads)
-
-        def captured_backward(tensor_self, grad=None):
-            return harness._on_backward(tensor_self, grad, orig_backward)
-
-        self._originals = {
-            "make_child": orig_make_child,
-            "dispatch": orig_dispatch,
-            "backward": orig_backward,
-        }
-        Tensor._make_child = captured_make_child
-        Tensor._backward_dispatch = captured_dispatch
-        Tensor.backward = captured_backward
-        self._hook_handle = register_forward_hooks(
-            pre=self._paths.push, post=lambda module: self._paths.pop()
-        )
+        add_observer(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        Tensor._make_child = self._originals["make_child"]
-        Tensor._backward_dispatch = self._originals["dispatch"]
-        Tensor.backward = self._originals["backward"]
-        self._originals = {}
-        if self._hook_handle is not None:
-            self._hook_handle.remove()
-            self._hook_handle = None
+        remove_observer(self)
+
+    # ------------------------------------------------------------------ #
+    # Engine events
+    # ------------------------------------------------------------------ #
+    def module_enter(self, module) -> None:
+        self._paths.push(module)
+
+    def module_exit(self, module) -> None:
+        self._paths.pop()
+
+    def op_created(self, out, data, parents, backward) -> None:
+        if not self._done and out._backward is not None:
+            self._record_op(out, parents, data)
+
+    def dispatch_begin(self, node, grad) -> None:
+        if self._capturing_dispatch:
+            uid = self._ids.get(id(node))
+            if uid is None:
+                uid = self._register_source(node)
+            self._dispatch.append(uid)
 
     # ------------------------------------------------------------------ #
     # Window recording
@@ -238,33 +218,16 @@ class IRCapture:
     # ------------------------------------------------------------------ #
     # Step delimitation / finalisation
     # ------------------------------------------------------------------ #
-    def _on_backward(self, root: Tensor, grad, orig_backward):
-        if self._done or self._busy:
-            return orig_backward(root, grad)
-        root_uid = self._ids.get(id(root))
-        if root_uid is None:
-            # Backward over a graph built before the window (or a bare
-            # leaf): run it, but still treat it as a step boundary.
-            result = orig_backward(root, grad)
-            self._backward_count += 1
-            self._reset_window()
-            return result
-        self._busy = True
-        try:
-            capture = self._finalize(root, root_uid, grad, orig_backward)
-        finally:
-            self._busy = False
-        self._backward_count += 1
-        self.captures.append(capture)
-        if capture.clean or len(self.captures) >= self.max_attempts:
-            self._done = True
-        self._reset_window()
-        return None  # Tensor.backward returns None
-
-    def _finalize(self, root: Tensor, root_uid: int, grad,
-                  orig_backward) -> StepCapture:
-        seed = np.ones_like(root.data) if grad is None \
-            else np.asarray(grad, dtype=np.float64)
+    def backward_begin(self, root: Tensor, grad) -> None:
+        self._capturing_dispatch = False
+        if self._done:
+            return
+        # A root built before the window (or a bare leaf) still marks a
+        # step boundary at backward_end, but is not captured.
+        self._root_uid = self._ids.get(id(root))
+        if self._root_uid is None:
+            return
+        self._seed = np.array(grad, dtype=np.float64, copy=True)
         self._grads_before = {}
         for node in self._nodes:
             if node.requires_grad and not node.has_backward:
@@ -273,11 +236,20 @@ class IRCapture:
                     None if t.grad is None else t.grad.copy()
         self._dispatch = []
         self._capturing_dispatch = not self._overflowed
-        try:
-            orig_backward(root, grad)
-        finally:
-            self._capturing_dispatch = False
 
+    def backward_end(self, root: Tensor) -> None:
+        self._capturing_dispatch = False
+        if self._done:
+            return
+        if self._root_uid is not None:
+            capture = self._finalize()
+            self.captures.append(capture)
+            if capture.clean or len(self.captures) >= self.max_attempts:
+                self._done = True
+        self._backward_count += 1
+        self._reset_window()
+
+    def _finalize(self) -> StepCapture:
         grads_after: Dict[int, Optional[np.ndarray]] = {}
         source_data: Dict[int, np.ndarray] = {}
         for node in self._nodes:
@@ -289,7 +261,7 @@ class IRCapture:
             if node.requires_grad and not node.has_backward:
                 grads_after[node.uid] = \
                     None if t.grad is None else t.grad.copy()
-        graph = IRGraph(nodes=list(self._nodes), root=root_uid,
+        graph = IRGraph(nodes=list(self._nodes), root=self._root_uid,
                         dispatch_order=list(self._dispatch),
                         overflowed=self._overflowed)
         return StepCapture(
@@ -299,7 +271,7 @@ class IRCapture:
             source_data=source_data,
             grads_before=dict(self._grads_before),
             grads_after=grads_after,
-            seed_grad=np.array(seed, dtype=np.float64, copy=True),
+            seed_grad=self._seed,
             clean=self._window_clean,
             step_index=self._backward_count,
         )

@@ -2,8 +2,8 @@
 
 :class:`IRGraph` is a pure data structure: one :class:`IRNode` per
 value the autograd engine materialised during the captured window, in
-creation (SSA) order, plus the backward root and the exact
-``_backward_dispatch`` schedule the engine executed.  Everything the
+creation (SSA) order, plus the backward root and the exact node
+dispatch schedule the engine executed.  Everything the
 analysis passes (:mod:`repro.analysis.ir.passes`) and the replay
 executor (:mod:`repro.analysis.ir.replay`) need that is *not* a numpy
 array lives here; the arrays, backward closures and leaf snapshots stay
@@ -145,7 +145,7 @@ class IRGraph:
     def grad_reachable(self) -> Set[int]:
         """Nodes the engine's backward delivers a gradient to.
 
-        Mirrors ``Tensor._backward_dispatch``: starting at the root, a
+        Mirrors ``Tensor.backward``'s routing: starting at the root, a
         node's gradient flows to a parent iff the parent requires grad
         or has a backward function of its own.
         """

@@ -799,7 +799,7 @@ class ManifestSlotBypass(Rule):
     declares every process-global slot together with the only functions
     allowed to rebind it — ``set_registry``, the profiler's
     ``__enter__``/``__exit__`` pair, and so on.  Writing
-    ``Tensor.backward = fn`` or ``global _default; _default = x`` from
+    ``Optimizer.__init__ = fn`` or ``global _default; _default = x`` from
     anywhere else bypasses the slot's synchronization discipline; the
     effect analyzer reports the same sites interprocedurally as C003,
     this rule catches the plain syntactic shape without needing a

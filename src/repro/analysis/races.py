@@ -468,23 +468,43 @@ def _hooks_scenario() -> Scenario:
         return {"module": _Leaf()}
 
     def body(ctx, index, round_index):
-        from ..nn.module import register_forward_hooks
-        seen: List[int] = []
-        handle = register_forward_hooks(pre=lambda m: seen.append(1))
+        from ..nn import observers
+        from ..nn.tensor import Tensor
+
+        class _Counter(observers.EngineObserver):
+            def __init__(self):
+                self.modules = 0
+                self.ops = 0
+
+            def module_enter(self, module):
+                self.modules += 1
+
+            def op_created(self, out, data, parents, backward):
+                self.ops += 1
+
+        # Even threads run module forwards, odd threads tensor ops, so
+        # every registration races both kinds of engine event.
+        counter = observers.add_observer(_Counter())
         try:
             for _ in range(10):
-                ctx["module"](index)
+                if index % 2:
+                    (Tensor(np.ones(2), requires_grad=True) * 2.0).sum()
+                else:
+                    ctx["module"](index)
         finally:
-            handle.remove()
-        if not seen:
-            return "pre-hook never fired while registered"
+            observers.remove_observer(counter)
+        if index % 2 and counter.ops < 20:
+            return f"op observer saw {counter.ops} of 20 ops"
+        if not index % 2 and counter.modules < 10:
+            return f"module observer saw {counter.modules} of 10 calls"
         return None
 
     return Scenario(
-        name="forward-hooks", slots=("nn.module.forward_hooks",),
+        name="forward-hooks", slots=("nn.observers",),
         body=body, setup=setup,
-        doc="registers/removes global forward hooks from all threads "
-            "while forwards run (locked mutation, snapshot iteration)")
+        doc="registers/removes engine observers from all threads while "
+            "module forwards and tensor ops run (locked mutation, "
+            "snapshot iteration)")
 
 
 def _grad_mode_scenario() -> Scenario:

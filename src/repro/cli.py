@@ -142,9 +142,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         ir_ctx = nullcontext()
     from .analysis.anomaly import AnomalyError
-    # Session first, anomaly second: the anomaly hooks must stack on top
-    # of the profiler's engine hooks (both patch Tensor._make_child).
-    # The IR capture enters last for the same reason.
     with obs.session(runs_dir=args.runs_dir, profile=args.profile,
                      telemetry=telemetry_on,
                      health_rules=rule_texts) as sess, \
@@ -648,7 +645,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         op_events=profiler.trace_events(),
         metadata={"method": args.method, "dataset": pair.name},
     ))
-    print(f"chrome trace: {out}  (open in https://ui.perfetto.dev)")
+    # JSON mode keeps stdout one parseable document (as `repro ir`).
+    print(f"chrome trace: {out}  (open in https://ui.perfetto.dev)",
+          file=sys.stderr if args.format == "json" else sys.stdout)
     return 0
 
 

@@ -79,7 +79,7 @@ class GlobalSlot:
     the slot.  Each entry is a top-level qualname (``set_registry``,
     ``HookHandle.remove``) resolved in ``module``, or
     ``"other.module:qualname"`` when the sanctioned writer lives
-    elsewhere (e.g. the profiler patching ``Tensor`` methods).
+    elsewhere (e.g. the graph checker patching ``Optimizer.__init__``).
     ``guard`` names a module-level :class:`threading.Lock` that
     synchronized slots hold during access — the race sanitizer checks it
     is actually held.
@@ -163,8 +163,8 @@ MANIFEST: Tuple[GlobalSlot, ...] = (
         module="repro.obs.profile", attr="_active",
         classification=UNSAFE,
         installers=("OpProfiler.install", "OpProfiler.uninstall"),
-        doc="the installed op profiler; pairs with the Tensor patch "
-            "points below",
+        doc="the installed op profiler (one at a time); it watches the "
+            "engine through the nn.observers slot below",
     ),
     GlobalSlot(
         name="obs.shards.binding",
@@ -219,50 +219,14 @@ MANIFEST: Tuple[GlobalSlot, ...] = (
             "no_grad() window silently disabled autograd on all others",
     ),
     GlobalSlot(
-        name="nn.module.forward_hooks",
-        module="repro.nn.module", attr="_forward_hooks",
+        name="nn.observers",
+        module="repro.nn.observers", attr="_registry",
         classification=SYNCHRONIZED,
-        installers=("register_forward_hooks", "HookHandle.remove"),
-        guard="_HOOKS_LOCK",
-        doc="process-global forward pre/post hooks; mutation is locked, "
-            "__call__ iterates an immutable snapshot",
-    ),
-    GlobalSlot(
-        name="nn.tensor.op_patch",
-        module="repro.nn.tensor", attr="Tensor._make_child",
-        classification=UNSAFE,
-        installers=("repro.obs.profile:OpProfiler.install",
-                    "repro.obs.profile:OpProfiler.uninstall",
-                    "repro.analysis.anomaly:detect_anomaly.__enter__",
-                    "repro.analysis.anomaly:detect_anomaly.__exit__",
-                    "repro.analysis.ir.capture:IRCapture.__enter__",
-                    "repro.analysis.ir.capture:IRCapture.__exit__"),
-        doc="op-creation patch point (profiler / anomaly mode / IR "
-            "capture); monkeypatching is process-wide by nature",
-    ),
-    GlobalSlot(
-        name="nn.tensor.dispatch_patch",
-        module="repro.nn.tensor", attr="Tensor._backward_dispatch",
-        classification=UNSAFE,
-        installers=("repro.obs.profile:OpProfiler.install",
-                    "repro.obs.profile:OpProfiler.uninstall",
-                    "repro.analysis.anomaly:detect_anomaly.__enter__",
-                    "repro.analysis.anomaly:detect_anomaly.__exit__",
-                    "repro.analysis.ir.capture:IRCapture.__enter__",
-                    "repro.analysis.ir.capture:IRCapture.__exit__"),
-        doc="backward-dispatch patch point; same owners as op_patch",
-    ),
-    GlobalSlot(
-        name="nn.tensor.backward_patch",
-        module="repro.nn.tensor", attr="Tensor.backward",
-        classification=UNSAFE,
-        installers=("repro.analysis.graphcheck:GraphCaptureHarness.__enter__",
-                    "repro.analysis.graphcheck:GraphCaptureHarness.__exit__",
-                    "repro.analysis.ir.capture:IRCapture.__enter__",
-                    "repro.analysis.ir.capture:IRCapture.__exit__"),
-        doc="backward-entry patch point used by the graph-capture "
-            "harness and the IR capture; surfaced by the effect "
-            "analysis as an unregistered class-attribute write",
+        installers=("add_observer", "remove_observer"),
+        guard="_LOCK",
+        doc="process-global engine observer list (profiler, anomaly "
+            "mode, graph check, IR capture); mutation is locked, the "
+            "engine iterates an immutable snapshot",
     ),
     GlobalSlot(
         name="nn.optim.init_patch",
@@ -298,13 +262,6 @@ MANIFEST: Tuple[GlobalSlot, ...] = (
         guard="_SIG_LOCK",
         doc="forward-signature memo used by the shape-spec verifier; "
             "locked and bounded (found unguarded by the effect analysis)",
-    ),
-    GlobalSlot(
-        name="analysis.anomaly.state",
-        module="repro.analysis.anomaly", attr="_STATE",
-        classification=UNSAFE,
-        installers=("detect_anomaly.__enter__", "detect_anomaly.__exit__"),
-        doc="refcounted anomaly-mode patch state",
     ),
     # -- registration tables (import-time population) ------------------ #
     GlobalSlot(
@@ -352,7 +309,7 @@ def manifest_for_module(module: str) -> Tuple[GlobalSlot, ...]:
 def resolve_slot(slot: GlobalSlot):
     """Import the slot's module and return the current slot value.
 
-    For class-attribute patch points (``attr`` like ``Tensor._make_child``)
+    For class-attribute patch points (``attr`` like ``Optimizer.__init__``)
     this resolves through the class.  Raises ``AttributeError`` /
     ``ImportError`` if the manifest has drifted from the code — the
     static cross-check (C005) catches that before runtime does.

@@ -7,53 +7,12 @@ modes, and flat state dicts for serialisation.
 
 from __future__ import annotations
 
-import threading
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
+from . import observers as _observers
 from .tensor import Tensor
-
-#: Process-global forward pre/post hooks.  Empty (the default) keeps
-#: ``Module.__call__`` on a single truthiness check; the op profiler
-#: (:mod:`repro.obs.profile`) registers a pair while active so op events
-#: can be attributed to the module that created them.  Mutation goes
-#: through ``_HOOKS_LOCK`` (manifest slot ``nn.module.forward_hooks``);
-#: ``__call__`` iterates a snapshot, so reads stay lock-free.
-_HOOKS_LOCK = threading.Lock()
-_forward_hooks: List[Tuple[Optional[Callable], Optional[Callable]]] = []
-
-
-class HookHandle:
-    """Removal handle returned by :func:`register_forward_hooks`."""
-
-    __slots__ = ("_entry",)
-
-    def __init__(self, entry):
-        self._entry = entry
-
-    def remove(self) -> None:
-        with _HOOKS_LOCK:
-            try:
-                _forward_hooks.remove(self._entry)
-            except ValueError:
-                pass  # already removed — removal is idempotent
-
-
-def register_forward_hooks(
-    pre: Optional[Callable[["Module"], None]] = None,
-    post: Optional[Callable[["Module"], None]] = None,
-) -> HookHandle:
-    """Register global ``pre(module)`` / ``post(module)`` forward hooks.
-
-    Hooks fire around *every* ``Module.__call__`` in the process while
-    registered.  ``post`` runs even when ``forward`` raises, so paired
-    enter/exit bookkeeping (e.g. a module stack) stays balanced.
-    """
-    entry = (pre, post)
-    with _HOOKS_LOCK:
-        _forward_hooks.append(entry)
-    return HookHandle(entry)
 
 
 class Parameter(Tensor):
@@ -170,17 +129,13 @@ class Module:
         raise NotImplementedError
 
     def __call__(self, *args, **kwargs):
-        if not _forward_hooks:
+        if not _observers._registry:
             return self.forward(*args, **kwargs)
-        for pre, _ in tuple(_forward_hooks):
-            if pre is not None:
-                pre(self)
+        _observers.notify("module_enter", self)
         try:
             return self.forward(*args, **kwargs)
         finally:
-            for _, post in tuple(_forward_hooks):
-                if post is not None:
-                    post(self)
+            _observers.notify("module_exit", self)
 
 
 class ModuleList(Module):

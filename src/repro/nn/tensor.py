@@ -19,6 +19,8 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
+from . import observers as _observers
+
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
 #: Canonical floating dtype of the engine.  Hot-path code must reference
@@ -171,6 +173,8 @@ class Tensor:
             out.requires_grad = True
             out._parents = parents
             out._backward = backward
+        if _observers._registry:
+            _observers.notify("op_created", out, data, parents, backward)
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
@@ -214,30 +218,37 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
 
+        observers = _observers.snapshot()
+        if observers:
+            _observers.emit(observers, "backward_begin", self, grad)
         grads: dict[int, np.ndarray] = {id(self): grad}
         for node in reversed(topo):
             node_grad = grads.pop(id(node), None)
             if node_grad is None:
                 continue
-            if node.requires_grad and node._backward is None:
-                # Leaf tensor: accumulate into .grad
-                node._accumulate(node_grad)
-            if node._backward is not None:
-                node._backward_dispatch(node_grad, grads)
-
-    def _backward_dispatch(self, grad: np.ndarray, grads: dict) -> None:
-        """Invoke the op's backward fn, routing parent grads via ``grads``."""
-        contributions = self._backward(grad)
-        for parent, contribution in zip(self._parents, contributions):
-            if contribution is None or not (
-                parent.requires_grad or parent._backward is not None
-            ):
+            backward = node._backward
+            if backward is None:
+                if node.requires_grad:  # leaf: accumulate into .grad
+                    node._accumulate(node_grad)
                 continue
-            key = id(parent)
-            if key in grads:
-                grads[key] = grads[key] + contribution
-            else:
-                grads[key] = contribution
+            if observers:
+                _observers.emit(observers, "dispatch_begin", node, node_grad)
+            contributions = backward(node_grad)
+            if observers:
+                _observers.emit(observers, "dispatch_end", node, node_grad,
+                                contributions)
+            for parent, contribution in zip(node._parents, contributions):
+                if contribution is None or not (
+                    parent.requires_grad or parent._backward is not None
+                ):
+                    continue
+                key = id(parent)
+                if key in grads:
+                    grads[key] = grads[key] + contribution
+                else:
+                    grads[key] = contribution
+        if observers:
+            _observers.emit(observers, "backward_end", self)
 
     def zero_grad(self) -> None:
         """Reset the accumulated gradient."""

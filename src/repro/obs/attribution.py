@@ -100,9 +100,9 @@ def clear_name_cache() -> None:
 class ModulePathTracker:
     """Maintains the live module-call stack during forward execution.
 
-    Wire :meth:`push`/:meth:`pop` to
-    :func:`repro.nn.module.register_forward_hooks` ``pre``/``post`` and
-    read :meth:`path` when an op fires.  ``pop`` tolerates an empty
+    Wire :meth:`push`/:meth:`pop` to the engine's ``module_enter`` /
+    ``module_exit`` events (:mod:`repro.nn.observers`) and read
+    :meth:`path` when an op fires.  ``pop`` tolerates an empty
     stack so an unbalanced hook (module raised mid-forward) cannot
     poison later attribution.
     """

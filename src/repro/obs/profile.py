@@ -2,9 +2,10 @@
 
 The span tracer (:mod:`repro.obs.tracing`) answers *which phase is
 slow*; :class:`OpProfiler` answers *which tensor op*, at the granularity
-the numpy autograd engine actually executes: every ``Tensor`` operation
-that goes through ``Tensor._make_child`` (forward) and every
-``Tensor._backward_dispatch`` call (backward).  For each op it records
+the numpy autograd engine actually executes: every op the engine
+reports to its observers (:mod:`repro.nn.observers`) as created
+(forward) and every node it dispatches (backward).  For each op it
+records
 
 * call count and wall seconds,
 * an analytic FLOP estimate from operand shapes (the shared FLOP model
@@ -12,9 +13,9 @@ that goes through ``Tensor._make_child`` (forward) and every
   2x their forward formula),
 * output bytes (forward only),
 * the owning module path (``SDEAModel/TransformerEncoder/...``),
-  maintained via global :func:`repro.nn.module.register_forward_hooks`
-  pre/post hooks; backward ops inherit the path of the module that
-  *created* the output tensor (tracked through a weak map).
+  maintained from the engine's module enter/exit events; backward ops
+  inherit the path of the module that *created* the output tensor
+  (tracked through a weak map).
 
 Live **tensor memory** is tracked by attaching a ``weakref.finalize``
 to every op output: ``live_bytes`` rises on creation and falls when the
@@ -22,18 +23,18 @@ tensor is garbage-collected, and the high-water mark is exported as the
 ``profile.peak_tensor_bytes`` gauge.
 
 Timing model — forward ops are timed as *self time*: the engine computes
-the numpy result before ``_make_child`` is called, so an op's duration
-is measured as the gap since the previous profiler event (previous op,
+the numpy result before it reports the op, so an op's duration is
+measured as the gap since the previous profiler event (previous op,
 module boundary, or backward step).  In the single-threaded engine this
 attributes each op's numpy compute plus the python glue leading up to
-it; backward ops are timed exactly (the hook wraps the whole dispatch).
+it; backward ops are timed exactly, from the dispatch-begin to the
+dispatch-end event.
 
 Like the rest of ``repro.obs`` the profiler is **zero-overhead by
-default**: nothing is patched until :meth:`OpProfiler.install` runs
-(normally via ``obs.session(profile=True)``), and ``uninstall`` restores
-the original class methods.  When combined with
-:func:`repro.analysis.detect_anomaly`, enter the profiling session
-*first* so the anomaly hooks stack on top.
+default**: nothing is registered until :meth:`OpProfiler.install` runs
+(normally via ``obs.session(profile=True)``), and ``uninstall`` removes
+the observer again.  It composes with anomaly mode, the graph checker
+and IR capture in any enter order.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..nn.observers import EngineObserver, add_observer, remove_observer
 from . import metrics
 from .attribution import ModulePathTracker, op_name_from_backward
 
@@ -112,7 +114,7 @@ def active_profiler() -> Optional["OpProfiler"]:
     return _active
 
 
-class OpProfiler:
+class OpProfiler(EngineObserver):
     """Deterministic op-level profiler for the numpy autograd engine.
 
     Use through ``obs.session(profile=True)`` or directly::
@@ -144,68 +146,34 @@ class OpProfiler:
         # so a WeakKeyDictionary (identity hash) attributes backward
         # ops to the forward module without pinning tensors.
         self._creators: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-        self._orig_make_child = None
-        self._orig_dispatch = None
-        self._hook_handle = None
+        self._dispatch_start = 0.0
         self._flops_for = None  # bound at install()
 
     # ------------------------------------------------------------------ #
     # Install / uninstall
     # ------------------------------------------------------------------ #
     def install(self) -> "OpProfiler":
-        """Patch the engine hooks; idempotent, one profiler at a time."""
+        """Register with the engine; idempotent, one profiler at a time."""
         global _active
         if self._installed:
             return self
         if _active is not None:
             raise RuntimeError("another OpProfiler is already installed")
         from ..analysis.shapes.flops import flops_for
-        from ..nn.module import register_forward_hooks
-        from ..nn.tensor import Tensor
 
         self._flops_for = flops_for
-        self._orig_make_child = Tensor._make_child
-        self._orig_dispatch = Tensor._backward_dispatch
-        profiler = self
-        orig_make_child = self._orig_make_child
-        orig_dispatch = self._orig_dispatch
-
-        def profiled_make_child(tensor_self, data, parents, backward):
-            out = orig_make_child(tensor_self, data, parents, backward)
-            profiler._record_forward(out, parents, backward)
-            return out
-
-        def profiled_backward_dispatch(tensor_self, grad, grads):
-            start = time.perf_counter()
-            try:
-                return orig_dispatch(tensor_self, grad, grads)
-            finally:
-                profiler._record_backward(
-                    tensor_self, time.perf_counter() - start
-                )
-
-        Tensor._make_child = profiled_make_child
-        Tensor._backward_dispatch = profiled_backward_dispatch
-        self._hook_handle = register_forward_hooks(
-            pre=self._module_pre, post=self._module_post
-        )
         self._t0 = self._mark = time.perf_counter()
         self._installed = True
         _active = self
+        add_observer(self)
         return self
 
     def uninstall(self) -> None:
-        """Restore the original engine methods; idempotent."""
+        """Unregister from the engine; idempotent."""
         global _active
         if not self._installed:
             return
-        from ..nn.tensor import Tensor
-
-        Tensor._make_child = self._orig_make_child
-        Tensor._backward_dispatch = self._orig_dispatch
-        if self._hook_handle is not None:
-            self._hook_handle.remove()
-            self._hook_handle = None
+        remove_observer(self)
         self._installed = False
         if _active is self:
             _active = None
@@ -220,23 +188,20 @@ class OpProfiler:
         self.uninstall()
 
     # ------------------------------------------------------------------ #
-    # Hook bodies
+    # Engine events
     # ------------------------------------------------------------------ #
-    def _module_pre(self, module) -> None:
+    def module_enter(self, module) -> None:
         self._paths.push(module)
         self._mark = time.perf_counter()
 
-    def _module_post(self, module) -> None:
+    def module_exit(self, module) -> None:
         self._paths.pop()
         self._mark = time.perf_counter()
 
-    def _op_name(self, backward) -> str:
-        return op_name_from_backward(backward)
-
-    def _record_forward(self, out, parents, backward) -> None:
+    def op_created(self, out, data, parents, backward) -> None:
         now = time.perf_counter()
         wall = now - self._mark
-        op = self._op_name(backward)
+        op = op_name_from_backward(backward)
         flops = self._flops_for(op, [p.shape for p in parents],
                                 out.data.shape)
         nbytes = int(getattr(out.data, "nbytes", 0))
@@ -253,18 +218,21 @@ class OpProfiler:
             self._creators[out] = module
         self._mark = time.perf_counter()
 
-    def _record_backward(self, tensor_self, wall: float) -> None:
-        backward = tensor_self._backward
-        op = self._op_name(backward) if backward is not None else "op"
+    def dispatch_begin(self, node, grad) -> None:
+        self._dispatch_start = time.perf_counter()
+
+    def dispatch_end(self, node, grad, contributions) -> None:
+        now = time.perf_counter()
+        wall = now - self._dispatch_start
+        op = op_name_from_backward(node._backward)
         # Standard estimate: backward of an op costs ~2x its forward
         # (one gradient per operand over the same contraction sizes).
         flops = 2 * self._flops_for(
-            op, [p.shape for p in tensor_self._parents], tensor_self.shape
+            op, [p.shape for p in node._parents], node.shape
         )
-        module = self._creators.get(tensor_self, "")
-        now = time.perf_counter()
+        module = self._creators.get(node, "")
         self._bump(op, "backward", module, wall, flops, 0,
-                   ts=now - self._t0 - wall)
+                   ts=self._dispatch_start - self._t0)
         self._mark = now
 
     def _on_tensor_freed(self, nbytes: int) -> None:

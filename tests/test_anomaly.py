@@ -10,6 +10,7 @@ from repro.analysis import (
     is_anomaly_enabled,
 )
 from repro.nn import Parameter, Tensor
+from repro.nn.observers import registered
 
 
 class TestContextManagement:
@@ -20,21 +21,21 @@ class TestContextManagement:
         assert not is_anomaly_enabled()
 
     def test_reentrant_nesting(self):
-        original = Tensor._make_child
+        before = registered()
         with detect_anomaly():
             with detect_anomaly():
                 assert is_anomaly_enabled()
-            assert is_anomaly_enabled()  # inner exit must not unpatch
-            assert Tensor._make_child is not original
-        assert Tensor._make_child is original
+            assert is_anomaly_enabled()  # inner exit must not disable
+            assert len(registered()) == len(before) + 1
+        assert registered() == before
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # log(0) on purpose
     def test_unpatches_even_after_raise(self):
-        original = Tensor._make_child
+        before = registered()
         with pytest.raises(AnomalyError):
             with detect_anomaly():
                 Tensor([0.0]).log()
-        assert Tensor._make_child is original
+        assert registered() == before
 
     def test_clean_computation_unaffected(self):
         p = Parameter(np.array([0.5, -0.25]))

@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -204,3 +206,26 @@ class TestShapeCheckCommand:
             main(["shape-check", "--method", "mtranse"])
         snapshot = registry.snapshot()
         assert any("shapecheck_seconds" in name for name in snapshot)
+
+
+# Each `--format json` subcommand on its smallest input; `{tmp}` is a
+# fresh directory.  Notes such as "chrome trace: ..." belong on stderr.
+_JSON_COMMANDS = {
+    "obs": ["obs", "list", "--runs-dir", "{tmp}"],
+    "profile": ["profile", "--method", "jape-stru", "--runs-dir", "{tmp}"],
+    "lint": ["lint", "{tmp}/clean.py"],
+    "effects": ["effects"],
+    "race-check": ["race-check", "--scenario", "grad-mode-isolation",
+                   "--threads", "2", "--rounds", "1"],
+    "shape-check": ["shape-check", "--method", "jape-stru"],
+    "ir": ["ir", "--method", "mtranse"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_JSON_COMMANDS))
+def test_json_format_prints_one_document(command, tmp_path, capsys):
+    (tmp_path / "clean.py").write_text("x = 1\n")
+    argv = [arg.replace("{tmp}", str(tmp_path))
+            for arg in _JSON_COMMANDS[command]]
+    main(argv + ["--format", "json"])
+    json.loads(capsys.readouterr().out)  # raises on any extra line

@@ -57,10 +57,10 @@ class TestManifest:
         assert checked >= 3
 
     def test_installer_pairs_support_foreign_modules(self):
-        slot = manifest_by_name()["nn.tensor.backward_patch"]
+        slot = manifest_by_name()["nn.optim.init_patch"]
         pairs = slot.installer_pairs()
         modules = {module for module, _ in pairs}
-        assert "repro.nn.tensor" not in modules  # patched from outside
+        assert "repro.nn.optim" not in modules  # patched from outside
         assert all(":" not in qualname for _, qualname in pairs)
 
     def test_manifest_for_module_filters(self):
@@ -220,12 +220,15 @@ class TestThreadSafetyPins:
         assert len(_signature_cache) <= _SIG_CACHE_MAX
 
     def test_forward_hook_registry_survives_contention(self):
-        from repro.nn.module import _forward_hooks, register_forward_hooks
+        from repro.nn.observers import (
+            EngineObserver, add_observer, registered, remove_observer,
+        )
+
+        before = registered()
 
         def worker(index):
             for _ in range(100):
-                handle = register_forward_hooks(pre=lambda module: None)
-                handle.remove()
+                remove_observer(add_observer(EngineObserver()))
 
         hammer(worker)
-        assert _forward_hooks == []
+        assert registered() == before

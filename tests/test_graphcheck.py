@@ -17,6 +17,8 @@ from repro.analysis import (
     walk_graph,
 )
 from repro.nn import SGD, Linear, Parameter, Tensor
+from repro.nn.observers import registered
+from repro.nn.optim import Optimizer
 
 # Unary ops that keep values (and gradients) finite for inputs in a
 # bounded range — safe building blocks for random graph composition.
@@ -185,10 +187,18 @@ class TestGraphCaptureHarness:
         assert harness.reports[0].params_total == len(list(layer.parameters()))
 
     def test_patches_are_unwound_on_exit(self):
-        original_backward = Tensor.backward
-        with GraphCaptureHarness():
-            assert Tensor.backward is not original_backward
-        assert Tensor.backward is original_backward
+        original_init = Optimizer.__init__
+        before = registered()
+        with GraphCaptureHarness() as harness:
+            assert Optimizer.__init__ is not original_init
+            assert registered() == before + (harness,)
+        assert Optimizer.__init__ is original_init
+        assert registered() == before
+        with pytest.raises(RuntimeError):
+            with GraphCaptureHarness():
+                raise RuntimeError("fit failed")
+        assert Optimizer.__init__ is original_init
+        assert registered() == before
 
     def test_max_captures_respected(self, rng):
         with GraphCaptureHarness(max_captures=1) as harness:

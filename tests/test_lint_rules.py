@@ -634,11 +634,11 @@ class TestComposedKernelSubgraphR010:
 class TestManifestSlotBypassR011:
     def test_class_attr_patch_outside_installer(self):
         violations = lint("""
-        def sneaky(Tensor):
-            Tensor.backward = lambda self: None
+        def sneaky(Optimizer):
+            Optimizer.__init__ = lambda self, params: None
         """)
         assert rule_ids(violations) == ["R011"]
-        assert "Tensor.backward" in violations[0].message
+        assert "Optimizer.__init__" in violations[0].message
 
     def test_class_attr_patch_from_installer_is_fine(self):
         # The graph-capture harness patches inside __enter__/__exit__,
@@ -646,14 +646,14 @@ class TestManifestSlotBypassR011:
         violations = lint("""
         class Harness:
             def __enter__(self):
-                from repro.nn.tensor import Tensor
-                self._saved = Tensor.backward
-                Tensor.backward = self._patched
+                from repro.nn.optim import Optimizer
+                self._saved = Optimizer.__init__
+                Optimizer.__init__ = self._patched
                 return self
 
             def __exit__(self, *exc):
-                from repro.nn.tensor import Tensor
-                Tensor.backward = self._saved
+                from repro.nn.optim import Optimizer
+                Optimizer.__init__ = self._saved
         """)
         assert rule_ids(violations) == []
 
@@ -697,7 +697,7 @@ class TestManifestSlotBypassR011:
 
     def test_noqa_suppresses(self):
         violations = lint("""
-        def sneaky(Tensor):
-            Tensor.backward = None  # repro: noqa[R011] test fixture
+        def sneaky(Optimizer):
+            Optimizer.__init__ = None  # repro: noqa[R011] test fixture
         """)
         assert rule_ids(violations) == []
