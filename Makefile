@@ -2,7 +2,7 @@
 
 .PHONY: install test lint shapecheck check bench bench-hot bench-hot-smoke \
 	bench-compare bench-compare-smoke report obs-demo obs-check \
-	ir-check effects-check profile-demo clean
+	ir-check effects-check bench-e2e-smoke profile-demo clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -20,11 +20,11 @@ shapecheck:
 	PYTHONPATH=src python -m repro.cli shape-check
 
 # The full gate: lint clean, shapes clean, hot-path bench smoke,
-# committed bench baseline structurally valid, telemetry pipeline
-# end-to-end, IR capture/replay verified, shard-safety effects + race
-# sanitizer clean, tests.
-check: lint shapecheck bench-hot-smoke bench-compare-smoke obs-check ir-check effects-check test
-	@echo "check: OK - all gates green (lint, shape, obs, ir, effects)"
+# committed bench baseline structurally valid, end-to-end bench smoke,
+# telemetry pipeline end-to-end, IR capture/replay verified,
+# shard-safety effects + race sanitizer clean, tests.
+check: lint shapecheck bench-hot-smoke bench-compare-smoke bench-e2e-smoke obs-check ir-check effects-check test
+	@echo "check: OK - all gates green (lint, shape, bench, obs, ir, effects)"
 
 # Tiny instrumented run: prints the span report and writes a run record
 # under runs/ (inspect it with `python -m repro.cli obs`).
@@ -75,6 +75,12 @@ bench-compare:
 # timing) — part of `make check`.
 bench-compare-smoke:
 	python benchmarks/compare_hotpath.py --smoke
+
+# End-to-end benchmark (bench_e2e/, BENCHMARK.json) at smoke size, both
+# workloads plus the traced pass; exits non-zero when any op fails its
+# checks or the tracer loses a hook (part of `make check`).
+bench-e2e-smoke:
+	python3 bench_e2e/run.py --workload all --smoke --seconds 1 --trace 1
 
 # Profile a tiny SDEA run: per-op report (fwd/bwd split, FLOPs) plus a
 # Perfetto-loadable chrome trace under runs/.

@@ -603,6 +603,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     """
     from .analysis.graphcheck import tiny_check_method, tiny_check_pair
     from .experiments.methods import make_method
+    from .nn.kernels import use_kernels
     from .obs import trace as obs_trace
     from .obs.profile import format_summary_json
 
@@ -618,7 +619,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         pair = tiny_check_pair()
         method = tiny_check_method(args.method)
     split = pair.split()
-    with obs.session(runs_dir=None, profile=True) as sess:
+    # Same fused-kernel configuration as `repro run` and the benchmark.
+    with obs.session(runs_dir=None, profile=True) as sess, use_kernels():
         with obs_trace.span("profile", method=args.method,
                             dataset=pair.name):
             with obs_trace.span("fit"):

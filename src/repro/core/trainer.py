@@ -107,7 +107,11 @@ def pretrain_attribute_module(
     """Algorithm 2 — fine-tune the attribute module on seed alignment.
 
     Returns the final (best-checkpoint) attribute embeddings of both KGs
-    and the training log.
+    and the training log.  Each weight state is encoded once: nothing
+    changes the parameters between one epoch's validation and the next
+    epoch's candidate refresh, so the validation embeddings serve both,
+    and the best epoch's serve as the result after the restore.  Without
+    validation links early stopping follows ``-mean(loss)``.
     """
     rng = np.random.default_rng(config.seed + 1)
     optimizer = Adam(module.parameters(), lr=config.attr_lr)
@@ -117,17 +121,22 @@ def pretrain_attribute_module(
     sources = np.array([e1 for e1, _ in train_links], dtype=int)
     positives = np.array([e2 for _, e2 in train_links], dtype=int)
     bad_rounds = 0
+    current = None  # embeddings of the module's current weights
+    best = None     # embeddings of the best checkpoint's weights
 
     for epoch in range(config.attr_epochs):
         epoch_start = time.perf_counter()
         with trace.span("attr_pretrain/epoch", epoch=epoch), \
                 _anomaly_context(config):
-            # Lines 2–4: refresh embeddings and candidate sets.
-            with trace.span("encode"):
-                h1 = encode_all(module, encoder1)
-                h2 = encode_all(module, encoder2)
+            # Lines 2–4: refresh embeddings and candidate sets; after
+            # epoch 0 the previous validation encoded these weights.
+            if current is None:
+                with trace.span("encode"):
+                    current = (encode_all(module, encoder1),
+                               encode_all(module, encoder2))
             with trace.span("candidates"):
-                candidates = gen_candidates(h1, h2, k=config.num_candidates)
+                candidates = gen_candidates(*current,
+                                            k=config.num_candidates)
                 negatives = sample_negatives(candidates, sources, positives,
                                              rng)
 
@@ -161,9 +170,13 @@ def pretrain_attribute_module(
                              loss=epoch_losses[-1])
             # Line 11: validation with early stopping on Hits@1.
             with trace.span("validate"):
-                h1 = encode_all(module, encoder1)
-                h2 = encode_all(module, encoder2)
-                hits1 = _validation_hits1(h1, h2, valid_links)
+                current = (encode_all(module, encoder1),
+                           encode_all(module, encoder2))
+                if valid_links:
+                    hits1 = evaluate_embeddings(
+                        *current, valid_links).metrics.hits_at_1
+                else:
+                    hits1 = _loss_proxy(epoch_losses)
             log.record_epoch(
                 "attr", epoch,
                 float(np.mean(epoch_losses)) if epoch_losses else 0.0,
@@ -171,6 +184,7 @@ def pretrain_attribute_module(
             )
             log.record_validation("attr", epoch, hits1)
         if checkpoint.update(hits1):
+            best = current
             bad_rounds = 0
         else:
             bad_rounds += 1
@@ -182,9 +196,10 @@ def pretrain_attribute_module(
 
     checkpoint.restore()
     module.eval()
-    h1 = encode_all(module, encoder1)
-    h2 = encode_all(module, encoder2)
-    return h1, h2, log
+    if best is None:  # no snapshot: the restore kept the current weights
+        best = current if current is not None else (
+            encode_all(module, encoder1), encode_all(module, encoder2))
+    return best[0], best[1], log
 
 
 @dataclass
@@ -307,8 +322,7 @@ def train_relation_model(
                     emb2 = model.embed_entities(2, v_tgt)
                     hits1 = _validation_hits1_arrays(emb1, emb2)
                 else:
-                    hits1 = (-float(np.mean(epoch_losses))
-                             if epoch_losses else 0.0)
+                    hits1 = _loss_proxy(epoch_losses)
             log.record_epoch(
                 "rel", epoch,
                 float(np.mean(epoch_losses)) if epoch_losses else 0.0,
@@ -334,12 +348,9 @@ def train_relation_model(
     return model, log
 
 
-def _validation_hits1(h1: np.ndarray, h2: np.ndarray,
-                      valid_links: Sequence[Link]) -> float:
-    if not valid_links:
-        return 0.0
-    result = evaluate_embeddings(h1, h2, valid_links)
-    return result.metrics.hits_at_1
+def _loss_proxy(epoch_losses: Sequence[float]) -> float:
+    """Early-stopping score without validation links: ``-mean(loss)``."""
+    return -float(np.mean(epoch_losses)) if epoch_losses else 0.0
 
 
 def _validation_hits1_arrays(emb1: np.ndarray, emb2: np.ndarray) -> float:

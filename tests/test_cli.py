@@ -208,6 +208,14 @@ class TestShapeCheckCommand:
         assert any("shapecheck_seconds" in name for name in snapshot)
 
 
+def test_profile_runs_the_fused_kernels(tmp_path, capsys):
+    """`repro profile` measures the kernel configuration `repro run` ships."""
+    assert main(["profile", "--method", "sdea", "--format", "json",
+                 "--top", "100", "--runs-dir", str(tmp_path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert "fused_layer_norm" in {row["op"] for row in payload["top_ops"]}
+
+
 # Each `--format json` subcommand on its smallest input; `{tmp}` is a
 # fresh directory.  Notes such as "chrome trace: ..." belong on stderr.
 _JSON_COMMANDS = {

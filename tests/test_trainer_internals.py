@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.core import SDEAConfig
+from repro import obs
+from repro.core import SDEAConfig, trainer
 from repro.core.attribute_module import encode_all, prepare_text_encoder
 from repro.core.relation_module import NeighborIndex
 from repro.core.trainer import (
     pretrain_attribute_module,
     train_relation_model,
 )
+from repro.obs import trace
 
 
 def _tiny_config(**overrides):
@@ -64,6 +66,122 @@ class TestAttributePretraining:
         )
         assert h2.shape == (len(texts2), config.embed_dim)
         assert len(log.valid_hits1) == len(log.losses)
+
+
+def _prepare(texts, config):
+    texts1, texts2 = texts
+    return prepare_text_encoder(texts1, texts2, config,
+                                np.random.default_rng(0))
+
+
+_VALID = [(i, i) for i in range(10, 14)]
+
+
+def _pretrain(prepared, config, valid=_VALID):
+    train = [(i, i) for i in range(10)]
+    return pretrain_attribute_module(
+        prepared.module, prepared.encoder1, prepared.encoder2,
+        train, valid, config,
+    )
+
+
+@pytest.fixture()
+def encode_calls(monkeypatch):
+    """Count the trainer's ``encode_all`` calls (one per KG side)."""
+    calls = []
+    real = trainer.encode_all
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "encode_all", counting)
+    return calls
+
+
+class TestEncodeReuse:
+    """Algorithm 2 encodes each weight state once: the validation encode
+    feeds the next epoch's candidates and, for the best epoch, the
+    returned embeddings."""
+
+    def test_two_encodes_per_epoch_plus_epoch_zero(self, prepared_texts,
+                                                   encode_calls):
+        config = _tiny_config(attr_epochs=4, patience=5)
+        prepared = _prepare(prepared_texts, config)
+        _, _, log = _pretrain(prepared, config)
+        assert len(log.losses) == 4
+        assert len(encode_calls) == 2 + 2 * len(log.losses)
+
+    def test_early_stop_returns_restored_best_epoch(self, prepared_texts):
+        config = _tiny_config(attr_epochs=50, patience=1)
+        prepared = _prepare(prepared_texts, config)
+        h1, h2, log = _pretrain(prepared, config)
+        assert log.stopped_epoch >= 0
+        best_epoch = int(np.argmax(log.valid_hits1))
+        assert best_epoch < len(log.losses) - 1
+        np.testing.assert_array_equal(
+            h1, encode_all(prepared.module, prepared.encoder1))
+        np.testing.assert_array_equal(
+            h2, encode_all(prepared.module, prepared.encoder2))
+
+    def test_zero_epochs_returns_one_fresh_encode(self, prepared_texts,
+                                                  encode_calls):
+        config = _tiny_config(attr_epochs=0)
+        prepared = _prepare(prepared_texts, config)
+        h1, h2, log = _pretrain(prepared, config)
+        assert log.losses == []
+        assert encode_calls == [prepared.encoder1, prepared.encoder2]
+        np.testing.assert_array_equal(
+            h1, encode_all(prepared.module, prepared.encoder1))
+        np.testing.assert_array_equal(
+            h2, encode_all(prepared.module, prepared.encoder2))
+
+    def test_no_improvement_returns_last_weights(self, prepared_texts,
+                                                 encode_calls, monkeypatch):
+        """No epoch improves (e.g. NaN Hits@1): the restore is a no-op and
+        the last validation's embeddings are returned unencoded."""
+        class NeverImproves(trainer.BestCheckpoint):
+            def update(self, score):
+                return False
+
+        monkeypatch.setattr(trainer, "BestCheckpoint", NeverImproves)
+        config = _tiny_config(attr_epochs=3, patience=5)
+        prepared = _prepare(prepared_texts, config)
+        h1, h2, log = _pretrain(prepared, config)
+        assert len(encode_calls) == 2 + 2 * len(log.losses)
+        np.testing.assert_array_equal(
+            h1, encode_all(prepared.module, prepared.encoder1))
+        np.testing.assert_array_equal(
+            h2, encode_all(prepared.module, prepared.encoder2))
+
+    def test_encode_span_entered_once_per_run(self, prepared_texts):
+        config = _tiny_config(attr_epochs=3, patience=5)
+        prepared = _prepare(prepared_texts, config)
+        with obs.session(runs_dir=None):
+            _pretrain(prepared, config)
+            # The span tree as the run record stores it.
+            spans = trace.get_tracer().to_dict()
+        epoch = _child(spans, "attr_pretrain/epoch")
+        assert epoch["calls"] == 3
+        assert _child(epoch, "encode")["calls"] == 1
+        assert _child(epoch, "validate")["calls"] == 3
+
+    def test_no_validation_links_uses_loss_proxy(self, prepared_texts):
+        """Without validation links early stopping follows -mean(loss),
+        as Algorithm 3 does, instead of a constant 0.0 that stops after
+        ``patience`` epochs and restores epoch 0."""
+        config = _tiny_config(attr_epochs=10, patience=2)
+        prepared = _prepare(prepared_texts, config)
+        h1, _, log = _pretrain(prepared, config, valid=[])
+        assert log.valid_hits1 == [-loss for loss in log.losses]
+        assert len(log.losses) > config.patience + 1
+        np.testing.assert_array_equal(
+            h1, encode_all(prepared.module, prepared.encoder1))
+
+
+def _child(node, name):
+    (found,) = [c for c in node.get("children", []) if c["name"] == name]
+    return found
 
 
 class TestRelationTraining:
