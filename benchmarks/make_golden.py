@@ -1,17 +1,21 @@
-"""Behaviour golden for Algorithm 2 and the fits built on it.
+"""Behaviour golden for Algorithm 2, the fits built on it, and the
+structural baselines.
 
-Runs two seeded fits on the tiny synthetic pair used by the graph
+Runs four seeded fits on the tiny synthetic pair used by the graph
 checker (``tiny_check_pair()``):
 
 * ``sdea`` — ``tiny_check_method("sdea")``: MLM, Algorithm 2 and
   Algorithm 3 at unit-test scale;
 * ``bert-int`` — ``BertInt()`` with its default config, whose name
-  encoder is fine-tuned by the same Algorithm 2 over several epochs.
+  encoder is fine-tuned by the same Algorithm 2 over several epochs;
+* ``jape-stru`` and ``gcn-align`` — the structure-only baselines with
+  their default configs: embedding gathers (``take``) and graph
+  convolutions over a constant adjacency (``matmul``, ``getitem``).
 
-For each it records ``float.hex`` of every per-epoch MLM, attribute and
-relation loss and every validation Hits@1, the final test
-H@1/H@10/MRR/stable-H@1, and the sha256 of both sides' final
-embeddings, plus the numpy version the file was made with.
+For the first two it records ``float.hex`` of every per-epoch MLM,
+attribute and relation loss and every validation Hits@1; for all four
+the final test H@1/H@10/MRR/stable-H@1 and the sha256 of both sides'
+final embeddings; plus the numpy version the file was made with.
 ``tests/test_golden.py`` recomputes the same document and asserts it
 equals the committed ``tests/data/golden_alg2.json`` bit for bit, so a
 refactor of the trainer proves it changed nothing.
@@ -115,12 +119,24 @@ def bert_int_case() -> dict:
     }
 
 
+def structural_case(name: str) -> dict:
+    """A structure-only baseline keeps no loss log; its final metrics
+    and embeddings pin every gradient step it took."""
+    pair = tiny_check_pair()
+    split = pair.split()
+    method = tiny_check_method(name)
+    method.fit(pair, split)
+    return _outcome(method, split)
+
+
 def make_golden() -> dict:
     """The golden document for the code as it is now."""
     return {
         "numpy": np.__version__,
         "sdea": sdea_case(),
         "bert-int": bert_int_case(),
+        "jape-stru": structural_case("jape-stru"),
+        "gcn-align": structural_case("gcn-align"),
     }
 
 

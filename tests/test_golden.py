@@ -1,4 +1,5 @@
-"""Behaviour golden: seeded SDEA and BERT-INT fits, bit for bit.
+"""Behaviour golden: seeded SDEA, BERT-INT, JAPE-Stru and GCN-Align fits,
+bit for bit.
 
 ``tests/data/golden_alg2.json`` is written by
 ``benchmarks/make_golden.py``; every loss, validation Hits@1, final
@@ -34,7 +35,8 @@ def golden_pair():
     return committed, make_golden.make_golden()
 
 
-@pytest.mark.parametrize("case", ["sdea", "bert-int"])
+@pytest.mark.parametrize("case", ["sdea", "bert-int", "jape-stru",
+                                  "gcn-align"])
 def test_fit_matches_golden_bit_for_bit(golden_pair, case):
     committed, fresh = golden_pair
     assert fresh[case] == committed[case]
