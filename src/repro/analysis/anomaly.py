@@ -36,6 +36,7 @@ import numpy as np
 
 from ..nn import observers as _observers
 from ..nn import tensor as _tensor_module
+from ..nn.tensor import receives_grad
 from ..obs.attribution import op_name_from_backward
 
 __all__ = ["AnomalyError", "OpProvenance", "detect_anomaly",
@@ -154,9 +155,7 @@ class detect_anomaly(_observers.EngineObserver):
     def dispatch_end(self, node, grad, contributions) -> None:
         for index, (parent, contribution) in enumerate(
                 zip(node._parents, contributions)):
-            if contribution is None or not (
-                parent.requires_grad or parent._backward is not None
-            ):
+            if contribution is None or not receives_grad(parent):
                 continue
             if not _finite(np.asarray(contribution)):
                 _raise_nonfinite(

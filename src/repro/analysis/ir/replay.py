@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from ...nn.tensor import DEFAULT_DTYPE
+from ...nn.tensor import DEFAULT_DTYPE, receives_grad
 from .capture import StepCapture
 from .graph import IRGraph, IRNode
 
@@ -283,10 +283,8 @@ def replay(capture: StepCapture, max_mismatches: int = 10) -> ReplayResult:
                 contributions = capture.backwards[uid](node_grad)
                 for parent_uid, contribution in zip(node.parents,
                                                     contributions):
-                    parent = graph.node(parent_uid)
-                    if contribution is None or not (
-                        parent.requires_grad or parent.has_backward
-                    ):
+                    if contribution is None or not receives_grad(
+                            capture.tensors[parent_uid]):
                         continue
                     if parent_uid in grads:
                         grads[parent_uid] = grads[parent_uid] + contribution

@@ -23,7 +23,9 @@ Conventions (documented in ``docs/observability.md``):
   ``concatenate``, ``stack``, ...) counts **0** — its cost shows up in
   wall time and output bytes, not FLOPs;
 * a backward pass is estimated at **2x** the forward op (one gradient
-  per operand, same contraction sizes) by the profiler.
+  per operand, same contraction sizes) by the profiler, prorated to the
+  operands the backward returns a gradient for: ``const @ param``
+  costs **1x**, since no gradient is computed for a constant.
 
 Estimates are deterministic functions of shapes — no timing, no
 hardware model.

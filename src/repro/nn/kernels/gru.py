@@ -44,7 +44,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..tensor import Tensor
+from ..tensor import Tensor, receives_grad
 from .registry import kernel_mode, register_kernel
 
 __all__ = ["fused_gru_cell", "fused_gru_sequence"]
@@ -253,8 +253,11 @@ def fused_gru_sequence(x: Tensor, mask: Optional[np.ndarray], w: Tensor,
             # in exactly that sequence, and parameter gradients are
             # per-gate matmuls accumulated step by step in reverse
             # execution order (flat batched matmuls would change the
-            # BLAS summation order).
-            dx = np.empty_like(xd)
+            # BLAS summation order).  dx is only read by the return, so
+            # its three matmuls per step run last and a constant input
+            # (see receives_grad) skips them.
+            need_dx = receives_grad(x)
+            dx = np.empty_like(xd) if need_dx else None
             dw = np.zeros_like(wd)
             du = np.zeros_like(ud)
             db = np.zeros_like(bd)
@@ -275,7 +278,6 @@ def fused_gru_sequence(x: Tensor, mask: Optional[np.ndarray], w: Tensor,
                 gz *= z
                 gz *= s1                    # dpre_z
                 db[hidden:two_h] += gz.sum(axis=0)
-                dx_t = gz @ w_z.T
                 dw[:, hidden:two_h] += x_t.T @ gz
                 if i > 0:
                     hgn = g[:, order[i - 1], :] + pass_g
@@ -283,7 +285,6 @@ def fused_gru_sequence(x: Tensor, mask: Optional[np.ndarray], w: Tensor,
                     hgn += gz @ u_z.T
                 gc *= 1.0 - c ** 2          # dpre_c
                 db[two_h:] += gc.sum(axis=0)
-                dx_t += gc @ w_c.T
                 dw[:, two_h:] += x_t.T @ gc
                 grh = gc @ u_c.T
                 du[:, two_h:] += rh.T @ gc
@@ -293,13 +294,16 @@ def fused_gru_sequence(x: Tensor, mask: Optional[np.ndarray], w: Tensor,
                 gr *= r
                 gr *= 1.0 - r               # dpre_r
                 db[:hidden] += gr.sum(axis=0)
-                dx_t += gr @ w_r.T
                 dw[:, :hidden] += x_t.T @ gr
                 if i > 0:
                     hgn += gr @ u_r.T
                 du[:, :hidden] += h_prev.T @ gr
                 du[:, hidden:two_h] += h_prev.T @ gz
-                dx[:, t, :] = dx_t
+                if need_dx:
+                    dx_t = gz @ w_z.T
+                    dx_t += gc @ w_c.T
+                    dx_t += gr @ w_r.T
+                    dx[:, t, :] = dx_t
                 hg = hgn if i > 0 else None
             return dx, dw, du, db
     else:
@@ -350,7 +354,7 @@ def fused_gru_sequence(x: Tensor, mask: Optional[np.ndarray], w: Tensor,
                 du[:, :two_h] += h_prev.T @ slot[:, :two_h]
                 carry = s1 if pass_g is None else s1 + pass_g
             flat = d_gates.reshape(batch * steps, 3 * hidden)
-            dx = (flat @ wd.T).reshape(xd.shape)
+            dx = (flat @ wd.T).reshape(xd.shape) if receives_grad(x) else None
             dw = xd.reshape(batch * steps, d_in).T @ flat
             db = flat.sum(axis=0)
             return dx, dw, du, db

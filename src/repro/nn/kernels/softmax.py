@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..tensor import Tensor, _unbroadcast
+from ..tensor import Tensor, _unbroadcast, scatter_add
 from .registry import kernel_mode, register_kernel
 
 __all__ = ["fused_softmax", "fused_log_softmax", "fused_cross_entropy"]
@@ -152,8 +152,7 @@ def fused_cross_entropy(logits: Tensor, targets: np.ndarray,
             # Composed chain: div -> neg -> sum -> getitem scatter, then
             # the exact log-softmax backward with the scattered grad.
             gpick = np.broadcast_to(-(g / count), (len(rows),))
-            full = np.zeros_like(logits.data)
-            np.add.at(full, (rows, picked_targets), gpick)
+            full = scatter_add(logits.data, (rows, picked_targets), gpick)
             tmp = np.negative(full)
             gdenom = _unbroadcast(tmp, denom.shape)
             gdenom /= denom

@@ -14,6 +14,7 @@ reduced back to the operand's original shape.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -79,6 +80,77 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad
+
+
+def receives_grad(tensor: "Tensor") -> bool:
+    """Whether :meth:`Tensor.backward` routes a gradient to ``tensor``.
+
+    A tensor receives a gradient when it is a trainable leaf or the
+    output of a recorded op.  This is the VJP contract: a backward
+    closure returns ``None`` for every parent that fails this test, so
+    no gradient is computed only to be dropped (the adjacency in
+    ``adj @ hidden``, a constant mask, a constant divisor).  Closures
+    evaluate it when they run, exactly as the engine's routing does.
+    """
+    return tensor.requires_grad or tensor._backward is not None
+
+
+def scatter_add(template: np.ndarray, index: tuple, values,
+                axis: int = 0) -> np.ndarray:
+    """Zeros shaped like ``template`` with ``values`` summed in at ``index``.
+
+    The result equals ``np.add.at(np.zeros_like(template),
+    (slice(None),) * axis + index, values)``.  ``index`` is a tuple of
+    integer arrays (or ints) that address the axes ``axis, axis + 1,
+    ...`` of ``template`` and broadcast together to a shape ``S``;
+    every other axis is taken whole, so ``values`` has (or broadcasts
+    to) ``shape[:axis] + S + shape[axis + len(index):]``.  That is the
+    gradient of ``take(indices, axis)``, of integer-array
+    ``__getitem__`` and of a ``(row, target)`` pick.
+
+    A row index into a 2-D table is numpy's slow ``add.at`` path; here
+    every element gets its flat position ``row * width + col`` and one
+    1-D ``add.at`` runs.  Each element still receives the same scalar
+    additions in the same (index) order, so the result is bitwise equal
+    to the multi-dimensional call, signs of zero included.
+    """
+    shape = template.shape
+    if axis < 0:
+        axis += len(shape)
+    stop = axis + len(index)
+    addressed = shape[axis:stop]
+    inner = math.prod(shape[stop:])
+    # The forward gather already rejected out-of-range indices; "wrap"
+    # only maps negative ones onto their positive twins.
+    rows = np.ravel_multi_index(index, addressed, mode="wrap")
+    positions = rows.reshape(1, -1, 1) * inner + np.arange(inner)
+    outer = math.prod(shape[:axis])
+    if outer > 1:
+        span = math.prod(addressed) * inner
+        positions = positions + (np.arange(outer) * span).reshape(-1, 1, 1)
+    flat = np.zeros(template.size, dtype=template.dtype)
+    np.add.at(flat, positions.ravel(), np.broadcast_to(
+        values, shape[:axis] + rows.shape + shape[stop:]).ravel())
+    return flat.reshape(shape)
+
+
+def _integer_index(index) -> Optional[tuple]:
+    """``index`` as a tuple for :func:`scatter_add`, or ``None``.
+
+    Only pure integer-array indexing qualifies (integer arrays, possibly
+    mixed with plain ints); slices, ellipses, ``None`` and boolean masks
+    keep the multi-dimensional ``np.add.at``.
+    """
+    parts = index if isinstance(index, tuple) else (index,)
+    has_array = False
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            if part.dtype.kind not in "iu":
+                return None
+            has_array = True
+        elif isinstance(part, bool) or not isinstance(part, (int, np.integer)):
+            return None
+    return parts if has_array else None
 
 
 class Tensor:
@@ -238,9 +310,7 @@ class Tensor:
                 _observers.emit(observers, "dispatch_end", node, node_grad,
                                 contributions)
             for parent, contribution in zip(node._parents, contributions):
-                if contribution is None or not (
-                    parent.requires_grad or parent._backward is not None
-                ):
+                if contribution is None or not receives_grad(parent):
                     continue
                 key = id(parent)
                 if key in grads:
@@ -262,7 +332,8 @@ class Tensor:
         a, b = self, other
 
         def backward(g):
-            return (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape))
+            return (_unbroadcast(g, a.shape) if receives_grad(a) else None,
+                    _unbroadcast(g, b.shape) if receives_grad(b) else None)
 
         return self._make_child(a.data + b.data, (a, b), backward)
 
@@ -273,7 +344,8 @@ class Tensor:
         a, b = self, other
 
         def backward(g):
-            return (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape))
+            return (_unbroadcast(g, a.shape) if receives_grad(a) else None,
+                    _unbroadcast(-g, b.shape) if receives_grad(b) else None)
 
         return self._make_child(a.data - b.data, (a, b), backward)
 
@@ -286,8 +358,8 @@ class Tensor:
 
         def backward(g):
             return (
-                _unbroadcast(g * b.data, a.shape),
-                _unbroadcast(g * a.data, b.shape),
+                _unbroadcast(g * b.data, a.shape) if receives_grad(a) else None,
+                _unbroadcast(g * a.data, b.shape) if receives_grad(b) else None,
             )
 
         return self._make_child(a.data * b.data, (a, b), backward)
@@ -300,8 +372,9 @@ class Tensor:
 
         def backward(g):
             return (
-                _unbroadcast(g / b.data, a.shape),
-                _unbroadcast(-g * a.data / (b.data**2), b.shape),
+                _unbroadcast(g / b.data, a.shape) if receives_grad(a) else None,
+                _unbroadcast(-g * a.data / (b.data**2), b.shape)
+                if receives_grad(b) else None,
             )
 
         return self._make_child(a.data / b.data, (a, b), backward)
@@ -352,23 +425,33 @@ class Tensor:
         out = a.data @ b.data
 
         def backward(g):
+            ga = gb = None
+            need_a, need_b = receives_grad(a), receives_grad(b)
             if a.ndim == 1 and b.ndim == 1:
-                return (g * b.data, g * a.data)
-            if b.ndim == 1:
-                ga = np.expand_dims(g, -1) * b.data
-                gb = np.tensordot(g, a.data, axes=(tuple(range(g.ndim)),
-                                                   tuple(range(g.ndim))))
-                return (_unbroadcast(ga, a.shape), gb)
-            if a.ndim == 1:
-                ga = (g[..., None, :] @ np.swapaxes(b.data, -1, -2)).reshape(
-                    g.shape[:-1] + (a.shape[0],)
-                )
-                ga = _unbroadcast(ga, a.shape)
-                gb = a.data[:, None] * g[..., None, :]
-                return (ga, _unbroadcast(gb, b.shape))
-            ga = g @ np.swapaxes(b.data, -1, -2)
-            gb = np.swapaxes(a.data, -1, -2) @ g
-            return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
+                if need_a:
+                    ga = g * b.data
+                if need_b:
+                    gb = g * a.data
+            elif b.ndim == 1:
+                if need_a:
+                    ga = _unbroadcast(np.expand_dims(g, -1) * b.data, a.shape)
+                if need_b:
+                    gb = np.tensordot(g, a.data, axes=(tuple(range(g.ndim)),
+                                                       tuple(range(g.ndim))))
+            elif a.ndim == 1:
+                if need_a:
+                    ga = (g[..., None, :] @ np.swapaxes(b.data, -1, -2)
+                          ).reshape(g.shape[:-1] + (a.shape[0],))
+                    ga = _unbroadcast(ga, a.shape)
+                if need_b:
+                    gb = _unbroadcast(a.data[:, None] * g[..., None, :],
+                                      b.shape)
+            else:
+                if need_a:
+                    ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
+                if need_b:
+                    gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+            return (ga, gb)
 
         return self._make_child(out, (a, b), backward)
 
@@ -544,8 +627,11 @@ class Tensor:
         if isinstance(index, Tensor):
             index = index.data
         out = a.data[index]
+        rows = _integer_index(index)
 
         def backward(g):
+            if rows is not None:
+                return (scatter_add(a.data, rows, g),)
             full = np.zeros_like(a.data)
             np.add.at(full, index, g)
             return (full,)
@@ -559,14 +645,7 @@ class Tensor:
         out = np.take(a.data, indices, axis=axis)
 
         def backward(g):
-            full = np.zeros_like(a.data)
-            if axis == 0:
-                np.add.at(full, indices, g)
-            else:
-                moved_full = np.moveaxis(full, axis, 0)
-                moved_g = np.moveaxis(g, axis, 0)
-                np.add.at(moved_full, indices, moved_g)
-            return (full,)
+            return (scatter_add(a.data, (indices,), g, axis),)
 
         return self._make_child(out, (a,), backward)
 
@@ -634,8 +713,10 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         return (
-            _unbroadcast(np.where(condition, g, 0.0), a.shape),
-            _unbroadcast(np.where(condition, 0.0, g), b.shape),
+            _unbroadcast(np.where(condition, g, 0.0), a.shape)
+            if receives_grad(a) else None,
+            _unbroadcast(np.where(condition, 0.0, g), b.shape)
+            if receives_grad(b) else None,
         )
 
     return a._make_child(out, (a, b), backward)

@@ -9,8 +9,9 @@ records
 
 * call count and wall seconds,
 * an analytic FLOP estimate from operand shapes (the shared FLOP model
-  in :mod:`repro.analysis.shapes.flops`; backward ops are estimated at
-  2x their forward formula),
+  in :mod:`repro.analysis.shapes.flops`; a backward op is estimated at
+  2x its forward formula, prorated to the parents it returns a
+  gradient for),
 * output bytes (forward only),
 * the owning module path (``SDEAModel/TransformerEncoder/...``),
   maintained from the engine's module enter/exit events; backward ops
@@ -226,10 +227,14 @@ class OpProfiler(EngineObserver):
         wall = now - self._dispatch_start
         op = op_name_from_backward(node._backward)
         # Standard estimate: backward of an op costs ~2x its forward
-        # (one gradient per operand over the same contraction sizes).
-        flops = 2 * self._flops_for(
-            op, [p.shape for p in node._parents], node.shape
-        )
+        # (one gradient per operand over the same contraction sizes),
+        # charged only for the operands it returned a gradient for: a
+        # matmul with a constant operand costs 1x (receives_grad).
+        parents = node._parents
+        kept = sum(c is not None for c in contributions)
+        flops = 2 * kept * self._flops_for(
+            op, [p.shape for p in parents], node.shape
+        ) // max(len(parents), 1)
         module = self._creators.get(node, "")
         self._bump(op, "backward", module, wall, flops, 0,
                    ts=self._dispatch_start - self._t0)

@@ -84,6 +84,18 @@ class TestOpProfiler:
         assert profiler.by_op()["sum"]["backward"].calls == 1
         assert profiler.total_wall() >= 0.0
 
+    def test_backward_flops_skip_the_constant_operand(self):
+        # (4, 3) const @ (3, 5) param: forward 2*K*numel(out) =
+        # 2*3*20 = 120 FLOPs; backward computes only the param's
+        # gradient const.T @ g, another 120.
+        const = Tensor(np.ones((4, 3)))
+        param = Tensor(np.ones((3, 5)), requires_grad=True)
+        with OpProfiler() as profiler:
+            (const @ param).sum().backward()
+        matmul = profiler.by_op()["matmul"]
+        assert matmul["forward"].flops == 120
+        assert matmul["backward"].flops == 120
+
     def test_attention_matmul_flops_hand_count(self):
         # Four D->D projections (8*B*T*D^2) plus QK^T and attn@V
         # (4*B*T^2*D): the canonical attention FLOP budget.

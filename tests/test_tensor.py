@@ -161,6 +161,28 @@ class TestShapeOps:
         out.sum().backward()
         np.testing.assert_allclose(t.grad, [[1, 1], [0, 0], [2, 2]])
 
+    def test_take_inner_axis_with_2d_index(self):
+        # The gathered axis sits between kept axes and the index adds
+        # two dimensions: out is (3, 2, 2, 4).
+        rng = np.random.default_rng(0)
+        t = Tensor(rng.normal(size=(3, 5, 4)), requires_grad=True)
+        idx = np.array([[0, 2], [4, 4]])
+        out = t.take(idx, axis=1)
+        assert out.shape == (3, 2, 2, 4)
+        weights = rng.normal(size=out.shape)
+        (out * weights).sum().backward()
+        expected = np.zeros((3, 5, 4))
+        np.add.at(expected, (slice(None), idx), weights)
+        np.testing.assert_array_equal(t.grad, expected)
+
+    def test_getitem_row_col_pairs_scatter(self):
+        t = Tensor(np.zeros((3, 4)), requires_grad=True)
+        out = t[np.array([0, 2, 0, -1]), np.array([1, 3, 1, 0])]
+        out.sum().backward()
+        expected = np.zeros((3, 4))
+        expected[0, 1], expected[2, 3], expected[2, 0] = 2.0, 1.0, 1.0
+        np.testing.assert_array_equal(t.grad, expected)
+
 
 class TestReductions:
     def test_sum_axis_gradients(self):
