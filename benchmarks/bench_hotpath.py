@@ -176,7 +176,7 @@ def bench_softmax_fused() -> Bench:
 
         def run():
             x.grad = None
-            with use_kernels("softmax", mode="fast"):
+            with use_kernels():
                 F.softmax(x, axis=-1).backward(seed)
 
         return run
@@ -195,7 +195,7 @@ def bench_attention_fused() -> Bench:
         x = Tensor(rng.normal(size=(batch, steps, dim)))
 
         def run():
-            with use_kernels(mode="fast"):
+            with use_kernels():
                 return mha(x)
 
         return run
@@ -216,7 +216,7 @@ def bench_bigru_fused() -> Bench:
 
         def run():
             x.grad = None
-            with use_kernels(mode="fast"):
+            with use_kernels():
                 gru(x).backward(seed)
 
         return run
@@ -288,7 +288,7 @@ def bench_cosine_topk_chunked() -> Bench:
 
 # Ordering matters: reference benches run first, in the interpreter's
 # default allocator regime (same conditions as the committed baseline
-# and as an unfused `repro run`).  The first fused bench to enter
+# and as the composed reference path).  The first fused bench to enter
 # ``use_kernels`` applies the kernel layer's process-wide allocator
 # tuning (see repro.nn.kernels.alloc), so fused rows measure the full
 # shipped configuration: fused nodes + recycled hot-loop buffers.

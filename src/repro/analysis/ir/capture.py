@@ -36,7 +36,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from ...nn.observers import EngineObserver, add_observer, remove_observer
-from ...nn.tensor import Tensor
+from ...nn.tensor import Tensor, receives_grad
 from ...obs.attribution import ModulePathTracker, op_name_from_backward
 from .graph import IRGraph, IRNode
 
@@ -170,6 +170,7 @@ class IRCapture(EngineObserver):
             module=self._paths.path(),
             requires_grad=out.requires_grad,
             has_backward=True,
+            receives_grad=receives_grad(out),
         )
         self._ids[id(out)] = uid
         self._tensors[uid] = out
@@ -194,6 +195,7 @@ class IRCapture(EngineObserver):
                 kind="external", shape=t.shape, dtype=str(t.dtype),
                 raw_dtype=str(t.dtype), parents=parent_uids, module="",
                 requires_grad=t.requires_grad, has_backward=True,
+                receives_grad=receives_grad(t),
             )
             self._backwards[uid] = t._backward
         else:
@@ -203,6 +205,7 @@ class IRCapture(EngineObserver):
                 uid=uid, op=kind, kind=kind, shape=t.shape,
                 dtype=str(t.dtype), raw_dtype=str(t.dtype), parents=(),
                 module="", requires_grad=t.requires_grad, has_backward=False,
+                receives_grad=receives_grad(t),
             )
             if self._capturing_dispatch and t.requires_grad:
                 # Discovered mid-backward: its .grad has not been

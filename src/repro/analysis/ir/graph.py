@@ -41,6 +41,7 @@ class IRNode:
     module: str                 # shared attribution path ("" for sources)
     requires_grad: bool
     has_backward: bool
+    receives_grad: bool         # nn.tensor.receives_grad at capture time
 
     @property
     def out_bytes(self) -> int:
@@ -145,9 +146,9 @@ class IRGraph:
     def grad_reachable(self) -> Set[int]:
         """Nodes the engine's backward delivers a gradient to.
 
-        Mirrors ``Tensor.backward``'s routing: starting at the root, a
-        node's gradient flows to a parent iff the parent requires grad
-        or has a backward function of its own.
+        Starting at the root, a node's gradient flows to each parent
+        the engine routes one to, as recorded by ``receives_grad`` at
+        capture time.
         """
         if self.root is None:
             return set()
@@ -158,10 +159,8 @@ class IRGraph:
             if not node.has_backward:
                 continue
             for parent_uid in node.parents:
-                parent = self.node(parent_uid)
-                if parent_uid in reached:
-                    continue
-                if parent.requires_grad or parent.has_backward:
+                if parent_uid not in reached \
+                        and self.node(parent_uid).receives_grad:
                     reached.add(parent_uid)
                     stack.append(parent_uid)
         return reached

@@ -531,22 +531,27 @@ def _grad_mode_scenario() -> Scenario:
 
 def _kernel_toggle_scenario() -> Scenario:
     def body(ctx, index, round_index):
-        from ..nn.kernels import registry as kr
-        if kr.kernel_active("softmax_xent"):
+        import time
+        from ..nn.kernels import kernels_active, use_kernels
+        if kernels_active():
             return "kernels active before use_kernels()"
-        with kr.use_kernels():
-            if not kr.kernel_mode():
-                return "kernel mode not active inside use_kernels()"
-        if kr.kernel_active("softmax_xent"):
-            return "kernels still active after use_kernels() exited"
+        for _ in range(20):
+            with use_kernels():
+                time.sleep(0)  # yield the GIL: let others enter and leave
+                if not kernels_active():
+                    return ("kernels inactive inside use_kernels() — "
+                            "another thread's exit leaked in")
+            time.sleep(0)
+            if kernels_active():
+                return ("kernels active after use_kernels() exited — "
+                        "another thread's entry leaked in")
         return None
 
     return Scenario(
-        name="kernel-toggle",
-        slots=("nn.kernels.table", "nn.kernels.alloc_latch"),
+        name="kernel-toggle", slots=("nn.kernels.alloc_latch",),
         body=body,
-        doc="toggles the fused-kernel context on every thread; the "
-            "activation set is thread-local, the allocator latch is "
+        doc="every thread enters and leaves use_kernels() concurrently; "
+            "the switch must be thread-local, the allocator latch is "
             "lock-guarded")
 
 

@@ -117,11 +117,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         anomaly_ctx = detect_anomaly()
     else:
         anomaly_ctx = nullcontext()
-    if args.no_fused:
-        kernel_ctx = nullcontext()
-    else:
-        from .nn.kernels import use_kernels
-        kernel_ctx = use_kernels()
     # --health-gate arms the rule engine (defaults when no rules file);
     # --health-rules alone evaluates + reports without gating the exit.
     rule_texts: Optional[List[str]] = None
@@ -145,7 +140,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     with obs.session(runs_dir=args.runs_dir, profile=args.profile,
                      telemetry=telemetry_on,
                      health_rules=rule_texts) as sess, \
-            anomaly_ctx, kernel_ctx, ir_ctx:
+            anomaly_ctx, ir_ctx:
         try:
             result = run_experiment(args.method, pair, split,
                                     with_stable_matching=args.stable,
@@ -204,6 +199,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     of the same fitted model.
     """
     from .experiments.methods import make_method
+    from .nn.kernels import use_kernels
 
     known = available_methods()
     if args.method not in known:
@@ -215,7 +211,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     method = make_method(args.method)
     print(f"dataset: {args.dataset}  method: {args.method}  "
           f"shards: {args.shards}")
-    with obs.session(runs_dir=None) as sess:
+    # Same fused kernels as run_experiment (`repro run`, the benchmark).
+    with obs.session(runs_dir=None) as sess, use_kernels():
         fit_start = time.perf_counter()
         method.fit(pair, split)
         fit_seconds = time.perf_counter() - fit_start
@@ -619,7 +616,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         pair = tiny_check_pair()
         method = tiny_check_method(args.method)
     split = pair.split()
-    # Same fused-kernel configuration as `repro run` and the benchmark.
+    # Same fused kernels as run_experiment (`repro run`, the benchmark).
     with obs.session(runs_dir=None, profile=True) as sess, use_kernels():
         with obs_trace.span("profile", method=args.method,
                             dataset=pair.name):
@@ -753,11 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--detect-anomaly", action="store_true",
                      help="raise with op provenance on the first NaN/Inf "
                           "in a forward value or backward gradient")
-    run.add_argument("--no-fused", action="store_true",
-                     help="disable the fused autograd kernels (packed-gate "
-                          "GRU, fused softmax/LayerNorm) and run the "
-                          "composed reference ops instead — see "
-                          "docs/performance.md")
     run.add_argument("--profile", action="store_true",
                      help="op-level autograd profiling: per-op wall time, "
                           "FLOP estimates, forward/backward split, "

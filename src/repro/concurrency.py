@@ -187,18 +187,11 @@ MANIFEST: Tuple[GlobalSlot, ...] = (
     ),
     # -- fused-kernel layer ------------------------------------------- #
     GlobalSlot(
-        name="nn.kernels.table",
-        module="repro.nn.kernels.registry", attr="_KERNELS",
-        classification=IMMUTABLE,
-        installers=("register_kernel",),
-        doc="kernel name -> callable table, populated at import time",
-    ),
-    GlobalSlot(
         name="nn.kernels.activation",
-        module="repro.nn.kernels.registry", attr="_state",
+        module="repro.nn.kernels.activation", attr="_state",
         classification=THREAD_LOCAL,
-        installers=("use_kernels.__enter__", "use_kernels.__exit__"),
-        doc="per-thread kernel activation set + backward mode",
+        installers=("use_kernels",),
+        doc="per-thread fused-kernel switch",
     ),
     GlobalSlot(
         name="nn.kernels.alloc_latch",

@@ -7,7 +7,7 @@ from .joint import JointRepresentation, final_embedding, training_embedding
 from .losses import triplet_margin_loss
 from .model import SDEA, FitResult
 from .numeric import NumericSignature, append_numeric_channel, extract_numbers
-from .persistence import load_model, save_model
+from .persistence import ModelFormatError, load_model, save_model
 from .unsupervised import (
     mine_pseudo_seeds,
     pseudo_split,
@@ -36,7 +36,7 @@ __all__ = [
     "JointRepresentation", "final_embedding", "training_embedding",
     "triplet_margin_loss",
     "NumericSignature", "append_numeric_channel", "extract_numbers",
-    "save_model", "load_model",
+    "save_model", "load_model", "ModelFormatError",
     "mine_pseudo_seeds", "pseudo_split", "seed_precision",
     "tfidf_similarity",
     "pretrain_attribute_module", "train_relation_model",

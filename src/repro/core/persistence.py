@@ -36,6 +36,35 @@ from .trainer import RelationModel
 
 PathLike = Union[str, Path]
 
+#: ``config.json`` keys earlier versions wrote that ``SDEAConfig`` no
+#: longer has.  ``fused_kernels`` chose an execution path and holds no
+#: weights, so a model saved with it loads unchanged without it.
+_RETIRED_FIELDS = ("fused_kernels",)
+
+
+class ModelFormatError(ValueError):
+    """A saved model directory that does not match this code's format."""
+
+
+def _load_config(path: Path) -> SDEAConfig:
+    """``SDEAConfig`` from ``config.json``; every field must be present."""
+    with open(path, encoding="utf-8") as handle:
+        fields = json.load(handle)
+    if not isinstance(fields, dict):
+        raise ModelFormatError(
+            f"{path}: expected a JSON object of SDEAConfig fields, "
+            f"got {type(fields).__name__}")
+    for key in _RETIRED_FIELDS:
+        fields.pop(key, None)
+    known = {field.name for field in dataclasses.fields(SDEAConfig)}
+    unknown = sorted(set(fields) - known)
+    missing = sorted(known - set(fields))
+    if unknown or missing:
+        raise ModelFormatError(
+            f"{path}: config fields do not match SDEAConfig "
+            f"(unknown: {unknown or 'none'}; missing: {missing or 'none'})")
+    return SDEAConfig(**fields)
+
 
 def save_model(model, directory: PathLike) -> None:
     """Persist a fitted :class:`repro.core.SDEA` to ``directory``."""
@@ -74,12 +103,17 @@ def load_model(directory: PathLike, pair: KGPair):
     pair:
         The KG pair the model was trained on (defines entity ids and
         neighborhoods).
+
+    Raises
+    ------
+    ModelFormatError
+        ``config.json`` names a field ``SDEAConfig`` does not have, or
+        lacks one it does.
     """
     from .model import SDEA  # local import to avoid a cycle
 
     directory = Path(directory)
-    with open(directory / "config.json", encoding="utf-8") as handle:
-        config = SDEAConfig(**json.load(handle))
+    config = _load_config(directory / "config.json")
     with open(directory / "tokenizer.json", encoding="utf-8") as handle:
         tokenizer = WordPieceTokenizer.from_dict(json.load(handle))
 

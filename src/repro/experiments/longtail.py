@@ -15,6 +15,7 @@ from typing import Dict, Sequence
 from ..align.evaluator import evaluate_by_degree_bucket
 from ..align.metrics import AlignmentMetrics
 from ..kg.pair import AlignmentSplit, KGPair
+from ..nn.kernels import use_kernels
 from .methods import make_method
 
 DEFAULT_BUCKETS = ((1, 3), (4, 10), (11, 10**9))
@@ -39,10 +40,11 @@ def longtail_analysis(method_name: str, pair: KGPair,
     """Fit a method and evaluate it per degree bucket."""
     split = split or pair.split()
     method = make_method(method_name)
-    method.fit(pair, split)
+    with use_kernels():  # the kernels run_experiment ships
+        method.fit(pair, split)
+        emb1, emb2 = method.embeddings(1), method.embeddings(2)
     bucket_metrics = evaluate_by_degree_bucket(
-        method.embeddings(1), method.embeddings(2), pair, split.test,
-        buckets=buckets,
+        emb1, emb2, pair, split.test, buckets=buckets,
     )
     return LongtailReport(
         method=method_name, dataset=pair.name, buckets=bucket_metrics

@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Sequence
 from ..align.evaluator import EvaluationResult
 from ..concurrency import shard_safe
 from ..kg.pair import AlignmentSplit, KGPair
+from ..nn.kernels import use_kernels
 from ..obs import events, trace
 from ..obs import metrics as metrics_mod
 from ..obs import shards as shards_mod
@@ -274,6 +275,11 @@ def run_experiment(method_name: str, pair: KGPair,
                    eval_shards: int = 1) -> ExperimentResult:
     """Fit ``method_name`` on the pair's train split; evaluate on test.
 
+    Fit and evaluation run inside :func:`repro.nn.kernels.use_kernels`,
+    on whichever thread calls this, so every run computes with the same
+    fused kernels (the composed ops stay the reference the kernel tests
+    compare against).
+
     ``eval_shards > 1`` shards the evaluation ranking over a thread pool
     (:func:`repro.obs.shards.run_sharded`); metrics and merged
     counter/histogram totals are bitwise-identical to the serial path,
@@ -305,7 +311,8 @@ def run_experiment(method_name: str, pair: KGPair,
                 train=len(split.train), valid=len(split.valid),
                 test=len(split.test),
             )
-            with trace.span("run", method=method_name, dataset=pair.name):
+            with trace.span("run", method=method_name,
+                            dataset=pair.name), use_kernels():
                 fit_start = time.perf_counter()
                 telemetry_mod.emit("phase", name="fit")
                 with trace.span("fit"):

@@ -18,6 +18,7 @@ from ..align.evaluator import similarity_for_links
 from ..align.metrics import bootstrap_confidence_interval
 from ..align.similarity import rank_of_target
 from ..kg.pair import KGPair
+from ..nn.kernels import use_kernels
 from .methods import make_method
 
 
@@ -79,8 +80,9 @@ def seed_sensitivity(method_name: str, pair: KGPair,
             config = method.model.config
         if config is not None and hasattr(config, "seed"):
             config.seed = int(seed)
-        method.fit(pair, split)
-        emb1, emb2 = method.embeddings(1), method.embeddings(2)
+        with use_kernels():  # the kernels run_experiment ships
+            method.fit(pair, split)
+            emb1, emb2 = method.embeddings(1), method.embeddings(2)
         similarity, targets = similarity_for_links(emb1, emb2, split.test)
         ranks = rank_of_target(similarity, targets)
         hits1.append(float((ranks <= 1).mean()))

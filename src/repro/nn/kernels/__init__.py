@@ -1,48 +1,30 @@
-"""Opt-in fused autograd kernels (see ``docs/performance.md``).
+"""Fused autograd kernels (see ``docs/performance.md``).
 
 Each kernel collapses a composed autograd subgraph into a **single
-node** with a hand-derived analytic backward, eliminating the Python
-per-op dispatch that dominates the hot paths (the BiGRU recurrence ran
-at 0.63 GFLOP/s composed vs ~30 for a plain matmul on the same host).
-
-Nothing here changes behaviour unless activated::
+node** with a hand-written backward, eliminating the Python per-op
+dispatch that dominates the hot paths (the BiGRU recurrence ran at 0.63
+GFLOP/s composed vs ~30 for a plain matmul on the same host)::
 
     from repro.nn import kernels
 
-    with kernels.use_kernels():            # all fused kernels
+    with kernels.use_kernels():
         loss = model(batch); loss.backward()
 
-    with kernels.use_kernels("softmax"):   # bisect to one kernel
-        ...
-
-``SDEAConfig.fused_kernels=True`` wraps the model's fit/evaluate in
-``use_kernels()`` automatically; ``repro run --no-fused`` turns it off
-from the CLI.  Every fused forward replicates the reference numpy
-arithmetic op-for-op and every backward is validated against the
-composed autograd by finite differences and hypothesis gradcheck
-(``tests/test_kernels.py``).
+Every fused forward replicates the reference numpy arithmetic op for op,
+and every backward replays the composed graph's float operations in the
+engine's dispatch order, so each call's outputs and gradients are bit
+for bit those of the composed path (``tests/test_kernels.py``).
 """
 
+from .activation import kernels_active, use_kernels
 from .alloc import tune_allocator
-from .gru import fused_gru_cell, fused_gru_sequence
+from .gru import fused_gru_sequence
 from .layernorm import fused_layer_norm
-from .registry import (
-    KERNEL_MODES,
-    active_kernel_names,
-    get_kernel,
-    kernel_active,
-    kernel_mode,
-    register_kernel,
-    registered_kernels,
-    use_kernels,
-)
 from .softmax import fused_cross_entropy, fused_log_softmax, fused_softmax
 
 __all__ = [
-    "register_kernel", "registered_kernels", "get_kernel",
-    "use_kernels", "kernel_active", "kernel_mode", "active_kernel_names",
-    "KERNEL_MODES", "tune_allocator",
-    "fused_gru_cell", "fused_gru_sequence",
+    "use_kernels", "kernels_active", "tune_allocator",
+    "fused_gru_sequence",
     "fused_softmax", "fused_log_softmax", "fused_cross_entropy",
     "fused_layer_norm",
 ]

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import init
 from ..analysis.shapes.spec import shape_spec
-from .kernels import fused_gru_cell, fused_gru_sequence, kernel_active
+from .kernels import fused_gru_sequence, kernels_active
 from .module import Module, Parameter
 from .tensor import DEFAULT_DTYPE, Tensor, concatenate, stack, where
 
@@ -29,9 +29,9 @@ class GRUCell(Module):
     """Single GRU step; processes one timestep of a batch.
 
     Parameters are stored per-gate (``w_r``/``u_r``/``b_r``, ...), which
-    keeps state dicts and tests readable; the opt-in fused path (see
-    :mod:`repro.nn.kernels`) packs them into ``(D_in, 3H)`` / ``(H, 3H)``
-    matrices on the fly via :meth:`packed_gates`.
+    keeps state dicts and tests readable; :class:`GRU`'s fused path
+    (see :mod:`repro.nn.kernels`) packs them into ``(D_in, 3H)`` /
+    ``(H, 3H)`` matrices on the fly via :meth:`packed_gates`.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
@@ -63,17 +63,8 @@ class GRUCell(Module):
         return w, u, b
 
     @shape_spec(x="b input_dim", h_prev="b hidden_dim", returns="b hidden_dim")
-    def forward(self, x: Tensor, h_prev: Tensor,  # repro: noqa[R010] reference fallback for fused_gru_cell
-                packed: Optional[Tuple[Tensor, Tensor, Tensor]] = None
-                ) -> Tensor:
-        """Advance one step: ``(B, D_in), (B, D_h) -> (B, D_h)``.
-
-        ``packed`` lets a caller running many steps (the GRU loop) reuse
-        one :meth:`packed_gates` result on the fused path.
-        """
-        if kernel_active("gru_cell"):
-            w, u, b = packed if packed is not None else self.packed_gates()
-            return fused_gru_cell(x, h_prev, w, u, b)
+    def forward(self, x: Tensor, h_prev: Tensor) -> Tensor:  # repro: noqa[R010] composed reference for fused_gru_sequence
+        """Advance one step: ``(B, D_in), (B, D_h) -> (B, D_h)``."""
         r = (x @ self.w_r + h_prev @ self.u_r + self.b_r).sigmoid()
         z = (x @ self.w_z + h_prev @ self.u_z + self.b_z).sigmoid()
         candidate = (x @ self.w_h + (r * h_prev) @ self.u_h + self.b_h).tanh()
@@ -112,7 +103,7 @@ class GRU(Module):
         batch, steps, _ = x.shape
         if mask is None:
             mask = np.ones((batch, steps), dtype=bool)
-        if kernel_active("gru_sequence"):
+        if kernels_active():
             # Whole recurrence as one autograd node: T steps of ~30 ops
             # collapse to a single hand-derived backward-through-time.
             w, u, b = self.cell.packed_gates()
@@ -120,12 +111,10 @@ class GRU(Module):
                                       reverse=self.reverse)
         order = range(steps - 1, -1, -1) if self.reverse else range(steps)
         h = Tensor(np.zeros((batch, self.hidden_dim), dtype=DEFAULT_DTYPE))
-        packed = (self.cell.packed_gates()
-                  if kernel_active("gru_cell") else None)
         outputs: list[Optional[Tensor]] = [None] * steps
         for t in order:
             x_t = x[:, t, :]
-            h_new = self.cell(x_t, h, packed=packed)
+            h_new = self.cell(x_t, h)
             step_mask = mask[:, t:t + 1]
             h = where(step_mask, h_new, h)
             outputs[t] = h

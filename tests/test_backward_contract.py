@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import Tensor, where
-from repro.nn.kernels import fused_gru_sequence, use_kernels
+from repro.nn.kernels import fused_gru_sequence
 from repro.nn.observers import EngineObserver, add_observer, remove_observer
 from repro.nn.tensor import receives_grad, scatter_add
 
@@ -192,10 +192,10 @@ def test_where_skips_constant():
     _check_constant_skipped(lambda a, b: where(condition, a, b), arrays)
 
 
-@pytest.mark.parametrize("mode", ["exact", "fast"])
-def test_gru_sequence_skips_constant_input(mode):
+@pytest.mark.parametrize("batch", [3, 1])
+def test_gru_sequence_skips_constant_input(batch):
     rng = np.random.default_rng(4)
-    batch, steps, d_in, hidden = 3, 4, 5, 2
+    steps, d_in, hidden = 4, 5, 2
     mask = np.ones((batch, steps), dtype=bool)
     mask[0, 2:] = False
     arrays = [rng.normal(size=(batch, steps, d_in)),
@@ -204,8 +204,7 @@ def test_gru_sequence_skips_constant_input(mode):
               rng.normal(size=(3 * hidden,))]
 
     def op(x, w, u, b):
-        with use_kernels("gru_sequence", mode=mode):
-            return fused_gru_sequence(x, mask, w, u, b)
+        return fused_gru_sequence(x, mask, w, u, b)
 
     _, reference = _run(op, arrays, constant=None)
     seen, grads = _run(op, arrays, constant=0)

@@ -16,6 +16,7 @@ from repro.analysis.ir import (
 )
 from repro.cli import main
 from repro.nn import Linear, Tensor
+from repro.nn.tensor import receives_grad
 from repro.nn.layers import MLP
 from repro.obs.profile import OpProfiler
 
@@ -57,6 +58,28 @@ class TestCapture:
         capture = capture_step(step, label="one")
         assert not capture.clean          # boundary window, still usable
         assert replay(capture).ok
+
+    def test_grad_reachable_agrees_with_the_engine(self):
+        """``const @ param``: the IR routes a gradient exactly where
+        ``Tensor.backward`` does, read off the flag capture recorded."""
+        rng = np.random.default_rng(0)
+        adj = Tensor(rng.normal(size=(4, 4)))
+        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+
+        def step():
+            w.grad = None
+            (adj @ w).relu().sum().backward()
+
+        capture = _two_steps(step)
+        graph = capture.graph
+        reached = graph.grad_reachable()
+        for node in graph.nodes:
+            assert node.receives_grad == \
+                receives_grad(capture.tensors[node.uid])
+            assert (node.uid in reached) == node.receives_grad
+        uid_of = {id(t): uid for uid, t in capture.tensors.items()}
+        assert uid_of[id(w)] in reached and w.grad is not None
+        assert uid_of[id(adj)] not in reached and adj.grad is None
 
     def test_never_backward_raises(self):
         with pytest.raises(RuntimeError, match="never called backward"):

@@ -1,5 +1,7 @@
 """SDEA model persistence and CSLS re-ranking."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,42 @@ class TestModelPersistence:
         np.testing.assert_allclose(
             restored.embeddings(1), model.embeddings(1), atol=1e-12
         )
+
+    @staticmethod
+    def _edit_config(directory, edit):
+        path = directory / "config.json"
+        fields = json.loads(path.read_text(encoding="utf-8"))
+        edit(fields)
+        path.write_text(json.dumps(fields), encoding="utf-8")
+
+    def test_loads_model_saved_with_the_retired_kernel_switch(
+            self, fitted, tiny_pair, tmp_path):
+        """Earlier versions saved the kernel switch; it held no weights."""
+        model, _ = fitted
+        model.save(tmp_path / "old")
+        self._edit_config(tmp_path / "old",
+                          lambda fields: fields.update(fused_kernels=True))
+        restored = SDEA.load(tmp_path / "old", tiny_pair)
+        np.testing.assert_array_equal(restored.embeddings(1),
+                                      model.embeddings(1))
+
+    def test_unknown_or_missing_field_raises_typed_error(
+            self, fitted, tiny_pair, tmp_path):
+        from repro.core import ModelFormatError
+
+        model, _ = fitted
+        model.save(tmp_path / "bad")
+        self._edit_config(tmp_path / "bad",
+                          lambda fields: fields.update(warp_drive=1))
+        with pytest.raises(ModelFormatError, match="warp_drive"):
+            SDEA.load(tmp_path / "bad", tiny_pair)
+        self._edit_config(tmp_path / "bad", lambda fields: (
+            fields.pop("warp_drive"), fields.pop("bert_dim")))
+        with pytest.raises(ModelFormatError, match="bert_dim"):
+            SDEA.load(tmp_path / "bad", tiny_pair)
+        (tmp_path / "bad" / "config.json").write_text("[1, 2]")
+        with pytest.raises(ModelFormatError, match="JSON object"):
+            SDEA.load(tmp_path / "bad", tiny_pair)
 
 
 class TestCSLS:
